@@ -48,6 +48,7 @@ _LOGGAMMA_BERNOULLI = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
 _DIGAMMA_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
                       -691 / 32760, 1 / 12)
 
+_INTEGRAL_MIN_RE_S = 0.05  # lerch_phi_integral's left cut grows like 1/Re(s)
 _ASYMPTOTIC_REAL = 10.0  # shift recurrences until Re(z) reaches this line
 _MAX_RECURRENCE_LIFT = 10**5  # recurrence steps, not accuracy: refuse absurd shifts
 
@@ -94,42 +95,142 @@ class LerchParams:
         )
 
 
-def lerch_phi(
-    params: LerchParams,
-    policy: PrecisionPolicy = PrecisionPolicy(),
-    meter: Optional[CancellationMeter] = None,
-) -> complex:
-    """Phi via direct compensated summation of the defining series.
+# Eulerian polynomials A_k(z) = sum_i A(k, i) z^i for k < _TAIL_ROWS, each row
+# divided by k! so its (nonnegative, palindromic) coefficients sum to 1.  They
+# give Li_{-k}(z) = sum_{m>=0} m^k z^m = z A_k(z) / (1-z)^(k+1) for k >= 1.
+_TAIL_ROWS = 64
 
-    Truncates at the first N whose geometric tail bound
-    |z|^(N+1)/(1-|z|) * |(v+N)^(-s)| * C_s * G falls below
-    rel_tol * |partial sum|, where C_s = exp(|Im s| pi/2 + |Re s| max(0, -ln|v+N|))
-    guards the arg/modulus swing of the power factor and G bounds the modulus
-    growth of later terms when Re(s) < 0.  Raises ConvergenceError if
-    policy.max_terms is exhausted first.
+
+def _eulerian_rows(count: int) -> tuple:
+    # A(k, i) = (i+1) A(k-1, i) + (k-i) A(k-1, i-1), divided through by k;
+    # the appended 0.0 serves as both A(k-1, k-1) and A(k-1, -1)
+    rows = [(), (1.0,)]
+    for k in range(2, count):
+        prev = rows[-1] + (0.0,)
+        rows.append(tuple(((i + 1) * prev[i] + (k - i) * prev[i - 1]) / k
+                          for i in range(k)))
+    return tuple(rows)
+
+
+_EULERIAN = _eulerian_rows(_TAIL_ROWS)
+
+
+def _eulerian(k: int, z: complex) -> complex:
+    """A_k(z)/k! for 1 <= k < _TAIL_ROWS, by Horner (the rows are palindromic)."""
+    e = 0j
+    for c in _EULERIAN[k]:
+        e = e * z + c
+    return e
+
+
+# Route costs in series terms, measured: a tail term costs about one head
+# term plus one Horner step per Eulerian coefficient.
+_TAIL_TERM_COST = 1.0
+_HORNER_STEP_COST = 0.04
+# The tail's terms must shrink at least this fast.  Its remainder is about the
+# bound on the first omitted term (measured against mpmath: up to 0.8 of it),
+# so the tail aims under that bound by _TAIL_MARGIN, which keeps the route's
+# error below the series' (whose tail bound overestimates by 10^2 or more).
+_TAIL_RATIO = 0.5
+_TAIL_MARGIN = 1e-2
+
+
+def _tail_plan(z: complex, az: float, s: complex, v: complex,
+               policy: PrecisionPolicy):
+    """(N, K) for the head-plus-tail route, or None when the series is cheaper.
+
+    The series needs about ln(1/rel_tol) / -ln|z| terms.  The route sums N
+    head terms and then K terms of the large-shift expansion of the tail at
+    w = v + N; its k-th term is at most prod_{j<k} (|s|+j) / (|w| |1-z|)^k
+    times the leading one, because the Eulerian coefficients are nonnegative
+    and sum to k!.  For each K the smallest x = |w||1-z| that brings that
+    product under rel_tol * _TAIL_MARGIN (and keeps the next ratio under
+    _TAIL_RATIO) fixes N ~ x/|1-z|; K grows while the cost falls.
+    Only |z|, |1-z|, |s| and rel_tol enter the choice; Re v only places N.
     """
-    params.validate_series()
-    z, s, v = complex(params.z), complex(params.s), complex(params.v)
-    if z == 0:
-        return principal_pow(v, -s)
+    if az ** _TAIL_ROWS <= policy.rel_tol:
+        return None  # at most _TAIL_ROWS series terms: the tail cannot pay off
+    ln_tol = -math.log(policy.rel_tol)
+    series = math.inf if az >= 1.0 else ln_tol / -math.log(az)
+    d = abs(1.0 - z)
+    ln_tol -= math.log(_TAIL_MARGIN)
+    if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
+        # nonpositive integer s: the expansion stops at k = -s and is exact
+        # for any w, so no head is needed (and s = 0 would take log 0 below)
+        k = int(-s.real)
+        if k >= _TAIL_ROWS or k + 1 > policy.max_terms:
+            return None
+        cost = k * (_TAIL_TERM_COST + 0.5 * k * _HORNER_STEP_COST)
+        return (0, k) if cost < series else None
+    a = abs(s)
+    best, plan, log_prod = math.inf, None, 0.0
+    for k in range(1, _TAIL_ROWS):
+        log_prod += math.log(a + k - 1)
+        x = max(math.exp((log_prod + ln_tol) / k), (a + k) / _TAIL_RATIO)
+        cost = x / d + k * (_TAIL_TERM_COST + 0.5 * k * _HORNER_STEP_COST)
+        if cost >= best:
+            break
+        best, plan = cost, (x, k)
+    if plan is None or best >= series:
+        return None
+    x, k = plan
+    head = max(0, math.ceil(x / d - v.real))
+    if head + k + 1 > policy.max_terms:
+        return None
+    return head, k
 
-    az = abs(z)
+
+def _add_tail(acc: CancellationMeter, zpow: complex, z: complex, s: complex,
+              w: complex, terms: int, policy: PrecisionPolicy) -> bool:
+    """Add z^N Phi(z, s, w) = z^N sum_k C(-s, k) w^(-s-k) Li_{-k}(z) to acc.
+
+    Term k >= 1 is lead * rho_k * E_k(z) with lead = z^(N+1) w^(-s)/(1-z),
+    rho_k = (-1)^k (s)_k / (w(1-z))^k and E_k = A_k/k!, so |lead * rho_k|
+    bounds it (|E_k(z)| <= 1 on the closed disk).  Stops once that bound on
+    the next term falls under rel_tol * _TAIL_MARGIN times the running sum
+    (it is 0 past a terminating expansion).  Returns False if, past the
+    planned `terms`, the terms stop shrinking first.
+    """
+    one_minus = 1.0 - z
+    y = 1.0 / (w * one_minus)
+    ay = abs(y)
+    lead = zpow * cmath.exp(-s * principal_log(w)) / one_minus
+    acc.add(lead)
+    lead *= z
+    rho = 1.0 + 0j
+    target = _TAIL_MARGIN * policy.rel_tol
+    for k in range(1, _TAIL_ROWS):
+        ratio = abs(s + (k - 1)) * ay  # |rho_k / rho_(k-1)|
+        if abs(lead * rho) * ratio <= target * max(abs(acc.value), policy.abs_tol):
+            return True
+        if k > terms and ratio > _TAIL_RATIO:
+            return False
+        rho *= -(s + (k - 1)) * y
+        acc.add(lead * rho * _eulerian(k, z))
+    return False
+
+
+def _sum_series(acc: CancellationMeter, z: complex, az: float, s: complex,
+                v: complex, policy: PrecisionPolicy, head: Optional[int]) -> complex:
+    """Feed the series terms into acc: the first `head` terms, or (head None)
+    until the tail bound of lerch_phi's docstring is met.  Returns z^N for the
+    N terms summed."""
     on_circle = az >= 1.0
-    acc = CancellationMeter()
     rs, is_ = s.real, s.imag
     cs_arg = abs(is_) * math.pi / 2.0
     # modulus-growth lookahead: later terms exceed |t_N| by at most
     # (1 + d*/|v+N|)^{|Re s|} at the geometric horizon d* ~ |Re s| / -ln|z|
     d_star = 1.0 if on_circle else max(1.0, abs(rs) / max(1e-300, -math.log(az)))
+    stop, first_check = (policy.max_terms, 4) if head is None else (head, head)
 
     zpow = 1.0 + 0j
     n = 0
-    while n < policy.max_terms:
+    while n < stop:
         w = v + n
         powfac = cmath.exp(-s * principal_log(w))
         acc.add(powfac * zpow)
-        total = acc.value
-        if n >= 4:
+        if n >= first_check:
+            total = acc.value
             aw = abs(w)
             c_s = math.exp(cs_arg + abs(rs) * max(0.0, -math.log(aw)))
             scale = max(abs(total), policy.abs_tol)
@@ -140,15 +241,70 @@ def lerch_phi(
                 growth = (1.0 + d_star / aw) ** abs(rs)
                 tail = az ** (n + 1) / (1.0 - az) * abs(powfac) * growth
             if tail * c_s <= policy.rel_tol * scale:
-                if meter is not None:
-                    meter.note(acc.peak)
-                return total
+                return zpow
         zpow *= z
         n += 1
-    raise ConvergenceError(
-        f"Phi series did not converge within {policy.max_terms} terms "
-        f"(|z|={az:.6g})"
-    )
+    if head is None:
+        raise ConvergenceError(
+            f"Phi series did not converge within {policy.max_terms} terms "
+            f"(|z|={az:.6g})"
+        )
+    return zpow
+
+
+def lerch_phi(
+    params: LerchParams,
+    policy: PrecisionPolicy = PrecisionPolicy(),
+    meter: Optional[CancellationMeter] = None,
+) -> complex:
+    """Phi by compensated summation: the direct series, or a head plus tail.
+
+    Series route: sums the defining series and truncates at the first N
+    whose geometric tail bound
+    |z|^(N+1)/(1-|z|) * |(v+N)^(-s)| * C_s * G falls below
+    rel_tol * |partial sum|, where C_s = exp(|Im s| pi/2 + |Re s| max(0, -ln|v+N|))
+    guards the arg/modulus swing of the power factor and G bounds the modulus
+    growth of later terms when Re(s) < 0.  It needs ~ln(1/rel_tol)/(1-|z|)
+    terms, too many near |z| = 1.
+
+    Head-plus-tail route: the same loop stops after a fixed N terms, and
+    z^N Phi(z, s, w) at w = v+N is added from its large-shift expansion
+    sum_k C(-s,k) w^(-s-k) Li_{-k}(z), with Li_0 read as 1/(1-z) and
+    Li_{-k}(z) = z A_k(z)/(1-z)^(k+1) for the Eulerian polynomial A_k
+    (Watson's lemma on the integral of lerch_phi_integral; Ferreira & Lopez,
+    J. Math. Anal. Appl. 298 (2004)).  Since |Li_{-k}(z)| <= k!/|1-z|^(k+1),
+    each term is at most (|s|+k)/(|w||1-z|) times the one before; the sum
+    terminates at k = -s for nonpositive integer s.  _tail_plan picks N and
+    the term count K from |z|, |1-z|, |s| and rel_tol before any term is
+    summed, and takes the route only when N + K costs less than the series'
+    predicted length and fits policy.max_terms.  The tail stops once the
+    bound on its next term falls below rel_tol/100 * |partial sum| (the
+    remainder is about that bound, so the margin keeps the route at least as
+    accurate as the series).  If its terms stop shrinking first, which
+    happens only near a zero of Phi, the series runs instead.
+
+    Head and tail share one CancellationMeter, whose peak is noted into
+    `meter`.  Raises ConvergenceError if policy.max_terms is exhausted.
+    """
+    params.validate_series()
+    z, s, v = complex(params.z), complex(params.s), complex(params.v)
+    if z == 0:
+        return principal_pow(v, -s)
+
+    az = abs(z)
+    plan = _tail_plan(z, az, s, v, policy)
+    if plan is not None:
+        acc = CancellationMeter()
+        zpow = _sum_series(acc, z, az, s, v, policy, plan[0])
+        if _add_tail(acc, zpow, z, s, v + plan[0], plan[1], policy):
+            if meter is not None:
+                meter.note(acc.peak)
+            return acc.value
+    acc = CancellationMeter()
+    _sum_series(acc, z, az, s, v, policy, None)
+    if meter is not None:
+        meter.note(acc.peak)
+    return acc.value
 
 
 def _gamma(z: complex) -> complex:
@@ -161,17 +317,21 @@ def lerch_phi_integral(
 ) -> complex:
     """Phi via (1/Gamma(s)) * integral_0^inf t^(s-1) e^(-vt) / (1 - z e^(-t)) dt.
 
-    Valid for Re(v) > 0, Re(s) > 0 and z off the cut [1, inf).  The
+    Valid for Re(v) > 0, Re(s) >= 0.05 and z off the cut [1, inf).  The
     substitution t = e^u turns this into a trapezoid sum over u whose
     integrand decays exponentially on the left and doubly exponentially on
     the right; the mesh is halved until two successive refinements agree to
-    policy.rel_tol.
+    policy.rel_tol.  The left cut u = -(ln 1e16 + 8)/Re(s) drops a tail of
+    about e^(-45); it grows without bound as Re(s) -> 0, so smaller Re(s)
+    raises DomainError rather than lose digits (the cut for Re s = 0.05
+    leaves a 1e-4 error at Re s = 0.01).
     """
     z, s, v = complex(params.z), complex(params.s), complex(params.v)
     if v.real <= 0:
         raise DomainError(f"integral route needs Re(v) > 0, got v={v!r}")
-    if s.real <= 0:
-        raise DomainError(f"integral route needs Re(s) > 0, got s={s!r}")
+    if s.real < _INTEGRAL_MIN_RE_S:
+        raise DomainError(
+            f"integral route needs Re(s) >= {_INTEGRAL_MIN_RE_S}, got s={s!r}")
     if z.imag == 0.0 and z.real >= 1.0:
         raise DomainError(f"integral route excludes z on [1, inf), got z={z!r}")
 
@@ -181,7 +341,7 @@ def lerch_phi_integral(
             return 0j
         return cmath.exp(s * u - v * t) / (1.0 - z * cmath.exp(-t))
 
-    left = (math.log(1e16) + 8.0) / max(s.real, 0.05)
+    left = (math.log(1e16) + 8.0) / s.real
     right = math.log((40.0 + 5.0 * abs(s)) / v.real) + 2.0
     h = 0.5
     count = int(math.ceil((left + right) / h))

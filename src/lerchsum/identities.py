@@ -845,12 +845,6 @@ def _id15_constraints(pt, margin):
 # registry
 # --------------------------------------------------------------------------
 
-def _complex_field_constraints(*needed):
-    def check(pt, margin):
-        return all(getattr(pt, f) is not None for f in needed)
-    return check
-
-
 _REGISTRY = (
     IdentitySpec(
         id="ID-00", title="integrand-identity",

@@ -73,8 +73,6 @@ DEFAULT_TOLERANCES = {
     "ID-15": 1e-8,
 }
 
-_REAL = ((0.0, 0.0),)  # marker unused; regions written explicitly below
-
 DEFAULT_REGIONS = {
     "ID-00": {"m": ((0.2, 2.5), (-1.0, 1.0)), "n": (0, 10)},
     # the 'a' box is in log units of 2^-n: a = exp(box_draw * 2^-n)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,10 @@ from lerchsum import (
     richardson_derivative,
     stieltjes_gamma1,
 )
+from lerchsum import functions
+from lerchsum.functions import _eulerian, _tail_plan
+from lerchsum.numerics import CancellationMeter
+from lerchsum.oracle import phi_series_bruteforce
 from helpers import (
     alternating_series_limit,
     gamma_product_oracle,
@@ -69,15 +74,20 @@ def test_phi_domain_errors(policy):
 
 
 def test_phi_on_circle_needs_large_s(policy):
-    # on |z| = 1 the absolute tail decays like n^(1-Re s), so only a modest
-    # tolerance is reachable within the term budget
+    # on |z| = 1 the series' absolute tail decays like n^(1-Re s), so it would
+    # need ~1e10 terms for 1e-10; the head-plus-tail route meets the default
+    # policy in a few dozen
+    value = lerch_phi(LerchParams(-1.0, 2.0, 1.0), policy)
+    assert abs(value - PI * PI / 12.0) <= 2.0 * policy.rel_tol * PI * PI / 12.0
     loose = PrecisionPolicy(rel_tol=1e-5)
     value = lerch_phi(LerchParams(-1.0, 2.0, 1.0), loose)
     assert value == pytest.approx(PI * PI / 12.0, rel=1e-4)
     with pytest.raises(DomainError):
         lerch_phi(LerchParams(-1.0, 0.5, 1.0), policy)
+    # near z = 1 the route needs a head of ~x/|1-z| terms: over 1000 here,
+    # so the series runs and exhausts the budget
     with pytest.raises(ConvergenceError):
-        lerch_phi(LerchParams(-1.0, 2.0, 1.0), policy)  # 1e-10 needs ~1e10 terms
+        lerch_phi(LerchParams(cmath.exp(0.01j), 2.0, 1.0), PrecisionPolicy(max_terms=1000))
 
 
 def test_phi_max_terms_exhaustion():
@@ -95,6 +105,107 @@ def test_phi_recurrence_200_points(policy):
         lhs = lerch_phi(LerchParams(z, s, v), policy)
         rhs = z * lerch_phi(LerchParams(z, s, v + 1.0), policy) + principal_pow(v, -s)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-12)
+
+
+# ------------------------------------------- lerch_phi head-plus-tail route
+
+def _bruteforce_reference(params):
+    terms = 1024
+    while True:
+        ref = phi_series_bruteforce(params, terms)
+        if ref.error_bound <= 1e-13 * abs(ref.value):
+            return ref
+        terms *= 2
+
+
+def test_tail_route_agrees_with_bruteforce_300_points(policy):
+    # the ranges and budget of test_bruteforce_agrees_with_fast_path_500_points,
+    # moved out to 0.9 <= |z| <= 0.99, where the route is cheaper unless z is
+    # close to 1
+    rng = seeded(20240602)
+    routed = 0
+    for _ in range(300):
+        z = cmath.rect(rng.uniform(0.9, 0.99), rng.uniform(-PI, PI))
+        s = random_complex(rng, (-2.0, 3.0), (-2.0, 2.0))
+        v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
+        params = LerchParams(z, s, v)
+        routed += _tail_plan(z, abs(z), s, v, policy) is not None
+        fast = lerch_phi(params, policy)
+        slow = _bruteforce_reference(params)
+        budget = (slow.error_bound
+                  + 10.0 * (policy.rel_tol * abs(fast) + policy.abs_tol))
+        assert abs(fast - slow.value) <= budget
+    assert routed >= 280
+
+
+def test_tail_route_agrees_with_integral_near_rim(policy):
+    rng = seeded(20240603)
+    routed = 0
+    for _ in range(100):
+        z = cmath.rect(rng.uniform(0.99, 0.9995), rng.uniform(-PI, PI))
+        s = random_complex(rng, (0.05, 4.0), (-2.0, 2.0))
+        v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
+        params = LerchParams(z, s, v)
+        routed += _tail_plan(z, abs(z), s, v, policy) is not None
+        value = lerch_phi(params, policy)
+        quad = lerch_phi_integral(params, policy)
+        assert abs(value - quad) <= 1e-9 * abs(quad)
+    assert routed >= 95
+
+
+def test_tail_route_closed_forms_at_nonpositive_integer_s(policy):
+    # the expansion stops at k = -s: sum (v+n) z^n and sum (v+n)^2 z^n
+    rng = seeded(20240604)
+    for _ in range(20):
+        z = cmath.rect(0.995, rng.uniform(-PI, PI))
+        v = random_complex(rng, (0.2, 5.0), (-2.0, 2.0))
+        q = 1.0 - z
+        first = v / q + z / q ** 2
+        second = v * v / q + 2.0 * v * z / q ** 2 + z * (1.0 + z) / q ** 3
+        assert abs(lerch_phi(LerchParams(z, -1.0, v), policy) - first) <= 1e-12 * abs(first)
+        assert abs(lerch_phi(LerchParams(z, -2.0, v), policy) - second) <= 1e-12 * abs(second)
+
+
+def _neg_polylog(k, z):
+    """Li_{-k}(z) = sum_{m>=0} m^k z^m from the route's Eulerian rows."""
+    return z * math.factorial(k) * _eulerian(k, z) / (1.0 - z) ** (k + 1)
+
+
+def test_eulerian_rows_give_negative_order_polylogs():
+    for z in (0.3 + 0.4j, -0.9, cmath.rect(0.995, 2.0), cmath.exp(1j)):
+        q = 1.0 - z
+        assert _neg_polylog(1, z) == pytest.approx(z / q ** 2, rel=1e-14)
+        assert _neg_polylog(2, z) == pytest.approx(z * (1.0 + z) / q ** 3, rel=1e-14)
+    # sum_{m<200} m^k z^m in exact rational arithmetic at |z| = 1/2 (the
+    # float sum loses up to 6 digits to cancellation); the omitted tail is < 1e-36
+    half = Fraction(1, 2)
+    for zr, zi in ((half, 0), (-half, 0), (0, half), (Fraction(3, 10), Fraction(2, 5))):
+        z = complex(zr, zi)
+        for k in range(1, 11):
+            wr, wi, sr, si = 1, 0, 0, 0  # z^m and the partial sum
+            for m in range(1, 200):
+                wr, wi = wr * zr - wi * zi, wr * zi + wi * zr
+                sr += m ** k * wr
+                si += m ** k * wi
+            direct = complex(sr, si)
+            assert abs(_neg_polylog(k, z) - direct) <= 1e-13 * abs(direct)
+
+
+def test_tail_route_falls_back_to_series_at_a_zero(policy, monkeypatch):
+    # Phi(-0.99, s, 1) vanishes at s = s_zero (an mpmath root): no tail term
+    # gets under rel_tol * |Phi|, so the route gives up and the series runs
+    s_zero = -2.005907497338372
+    outcomes, add_tail = [], functions._add_tail
+
+    def spy(*args):
+        outcomes.append(add_tail(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr("lerchsum.functions._add_tail", spy)
+    meter = CancellationMeter()
+    value = lerch_phi(LerchParams(-0.99, s_zero, 1.0), policy, meter)
+    assert outcomes == [False]
+    assert abs(value) <= 1e-12 * meter.peak
 
 
 # --------------------------------------------------------- lerch_phi_integral
@@ -124,6 +235,17 @@ def test_integral_domain_errors(policy):
         lerch_phi_integral(LerchParams(0.5, 1.0, -1.0), policy)
     with pytest.raises(DomainError):
         lerch_phi_integral(LerchParams(1.5, 1.0, 1.0), policy)
+
+
+def test_integral_re_s_range(policy):
+    # the left cut grows like 1/Re(s): below 0.05 the route refuses
+    with pytest.raises(DomainError):
+        lerch_phi_integral(LerchParams(0.5, 0.01, 1.0), policy)
+    for z, s, v in ((0.5 + 0.3j, 0.05 + 0.4j, 1.3), (-0.8 + 0.3j, 0.05, 0.7),
+                    (0.95j, 0.05 - 1.0j, 2.0 + 0.5j)):
+        params = LerchParams(z, s, v)
+        series = lerch_phi(params, policy)
+        assert abs(lerch_phi_integral(params, policy) - series) <= 1e-9 * abs(series)
 
 
 def test_series_integral_agreement_100_points(policy):
