@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .numerics import (
@@ -475,6 +476,47 @@ def harmonic(z: complex) -> complex:
     return digamma(z + 1) + EULER_GAMMA
 
 
+# gamma_1's Euler-Maclaurin corrections pair B_{2j}/(2j) (_DIGAMMA_BERNOULLI)
+# with the harmonic numbers H_{2j-1}; the remainder after them is bounded
+# through g^(2M)(x) = (2M)! (log x - H_{2M}) / x^(2M+1) for g(x) = log(x)/x.
+_GAMMA1_ORDER = 2 * len(_DIGAMMA_BERNOULLI)  # 2M = 14
+# H_{2j-1} for j = 1..7, and H_14
+_ODD_HARMONIC = (1.0, 11 / 6, 137 / 60, 363 / 140, 7129 / 2520, 83711 / 27720,
+                 1145993 / 360360)
+_HARMONIC_2M = 1171733 / 360360
+_GAMMA1_REMAINDER_SCALE = (4.0 * math.factorial(_GAMMA1_ORDER)
+                           / (2.0 * math.pi) ** _GAMMA1_ORDER)
+# The remainder is aimed two digits under rel_tol: ID-13 adds up to 30
+# gamma_1 values, and their sum must still meet rel_tol.
+_GAMMA1_MARGIN = 1e-2
+_GAMMA1_MIN_RADIUS = 2.0  # keeps |a + N + t| >= 1, which the bound assumes
+
+
+def _gamma1_remainder_bound(w: complex) -> float:
+    """Bound on the Euler-Maclaurin remainder of gamma_1 at w = a + N, Re w > 0.
+
+    Johansson (Numer. Algorithms 69, 2015, Theorem 1) bounds the remainder
+    after M Bernoulli terms by 4/(2 pi)^(2M) int_0^inf |g^(2M)(w+t)| dt.  With
+    theta = |arg w| < pi/2, |w+t| >= cos(theta/2)(|w|+t) and
+    |arg(w+t)| <= theta, so while cos(theta/2)|w| >= 1 the remainder is at most
+    4 (2M)!/(2 pi)^(2M) [(ln|w| + H_2M + theta)/(2M) + 1/(2M)^2]
+    / (cos(theta/2)^(2M+1) |w|^(2M)).
+    """
+    r, theta, p = abs(w), abs(cmath.phase(w)), _GAMMA1_ORDER
+    return (_GAMMA1_REMAINDER_SCALE
+            * ((math.log(r) + _HARMONIC_2M + theta) / p + 1.0 / (p * p))
+            / (math.cos(0.5 * theta) ** (p + 1) * r ** p))
+
+
+@lru_cache(maxsize=64)
+def _gamma1_radius(target: float) -> float:
+    """About the smallest real w whose remainder bound is at most target."""
+    r, p = _GAMMA1_MIN_RADIUS, _GAMMA1_ORDER
+    for _ in range(8):  # r -> (bound * r^p / target)^(1/p) climbs to the root
+        r = max(r, (_gamma1_remainder_bound(r) * r ** p / target) ** (1.0 / p))
+    return r
+
+
 def stieltjes_gamma1(
     a: complex,
     policy: PrecisionPolicy = PrecisionPolicy(),
@@ -483,20 +525,48 @@ def stieltjes_gamma1(
 
     Defined through the Laurent expansion of zeta(s, a) about s = 1 with the
     -gamma_1(a)(s-1) sign convention, so
-    gamma_1(a) = -d/ds [zeta(s, a) - 1/(s-1)] at s = 1.  Computed by central
-    differences of the regularized map at steps 1e-2, 5e-3, 2.5e-3 with two
-    Richardson levels; absolute accuracy is comfortably below 1e-7.
+    gamma_1(a) = -d/ds [zeta(s, a) - 1/(s-1)] at s = 1.  Computed as that
+    s-derivative of the Euler-Maclaurin sum for zeta(s, a), with no finite
+    difference: for w = a + N and L = log w (principal branch),
+
+        gamma_1(a) = sum_{k<N} log(a+k)/(a+k) - L^2/2 + L/(2w)
+                     + sum_{j=1..7} B_{2j}/(2j) (L - H_{2j-1}) / w^(2j).
+
+    N is chosen before summing: the smallest N with Re w > 0 at which the
+    remainder bound of _gamma1_remainder_bound is at most rel_tol/100 (about
+    |w| >= 7 at the default rel_tol).  The head starts at a itself, so for
+    Re a <= 0 it uses the same principal logs as hurwitz_zeta's
+    (a+k)^(-s).  Raises ConvergenceError when N exceeds max_terms.
     """
     a = complex(a)
     if _near_nonpositive_integer(a):
         raise PoleError(f"stieltjes_gamma1: a={a!r} is a nonpositive integer")
+    _check_liftable(a, 1.0, "stieltjes_gamma1")
 
-    def regularized(s: complex) -> complex:
-        return hurwitz_zeta(s, a, policy) - 1.0 / (s - 1.0)
+    target = _GAMMA1_MARGIN * policy.rel_tol
+    radius = _gamma1_radius(target)
+    n = max(0, math.floor(-a.real) + 1)  # Re(a + n) > 0
+    if abs(a.imag) < radius:
+        n = max(n, math.ceil(math.sqrt(radius * radius - a.imag * a.imag) - a.real))
+    while n <= policy.max_terms and _gamma1_remainder_bound(a + n) > target:
+        n += 1
+    if n > policy.max_terms:
+        raise ConvergenceError(
+            f"stieltjes_gamma1 needs {n} > max_terms={policy.max_terms} terms "
+            f"at a={a!r}"
+        )
 
-    diffs = []
-    for h in (1e-2, 5e-3, 2.5e-3):
-        diffs.append((regularized(1.0 + h) - regularized(1.0 - h)) / (2.0 * h))
-    r1a = (4.0 * diffs[1] - diffs[0]) / 3.0
-    r1b = (4.0 * diffs[2] - diffs[1]) / 3.0
-    return -(16.0 * r1b - r1a) / 15.0
+    acc = CancellationMeter()
+    for k in range(n):
+        x = a + k
+        acc.add(principal_log(x) / x)
+    w = a + n
+    log_w = principal_log(w)
+    acc.add(-0.5 * log_w * log_w)
+    acc.add(0.5 * log_w / w)
+    inv2 = 1.0 / (w * w)
+    wpow = inv2
+    for coeff, h in zip(_DIGAMMA_BERNOULLI, _ODD_HARMONIC):
+        acc.add(coeff * (log_w - h) * wpow)
+        wpow *= inv2
+    return acc.value

@@ -115,11 +115,19 @@ class SideExpr:
 @dataclass(frozen=True)
 class TrendGate:
     """Convergence gate for the limit identity: errors over n in [n_lo, n_hi]
-    must decrease monotonically and the final one must be below final_tol."""
+    must decrease monotonically and the final one must be below final_tol.
 
+    prefixes(x, n) yields the partial products P_1, ..., P_n of one running
+    product, so the whole trend costs n factors."""
+
+    prefixes: Callable[[complex, int], Iterator[complex]]
     n_lo: int = 4
     n_hi: int = 12
     final_tol: float = 1e-6
+
+    def partial_products(self, x: complex) -> list:
+        """[P_n for n in n_lo..n_hi]."""
+        return list(self.prefixes(complex(x), self.n_hi))[self.n_lo - 1:]
 
 
 @dataclass(frozen=True)
@@ -679,13 +687,20 @@ def _id11_constraints(pt, margin):
     return abs(x - 2.0 ** -pt.n) >= margin
 
 
+def _nielsen_prefixes(x: complex, n: int) -> Iterator[complex]:
+    """The running products of the ratio factors p = 1..n."""
+    value = 1 + 0j
+    for p in range(1, n + 1):
+        value *= cmath.exp(_nielsen_factor_exponent(x, p))
+        yield value
+
+
 def nielsen_partial_product(x: complex, n: int, policy: PrecisionPolicy,
                             meter: Optional[CancellationMeter] = None) -> complex:
     """Product of the first n ratio factors (p = 1..n), in log space."""
     meter = meter if meter is not None else CancellationMeter()
     value = 1 + 0j
-    for p in range(1, n + 1):
-        value *= cmath.exp(_nielsen_factor_exponent(complex(x), p))
+    for value in _nielsen_prefixes(complex(x), n):
         meter.note(abs(value))
     return value
 
@@ -702,7 +717,7 @@ def nielsen_limit(x: complex) -> complex:
 # The lhs evaluator reports the truncation at the gate's upper n.
 # --------------------------------------------------------------------------
 
-_ID12_GATE = TrendGate(n_lo=4, n_hi=12, final_tol=1e-6)
+_ID12_GATE = TrendGate(_nielsen_prefixes, n_lo=4, n_hi=12, final_tol=1e-6)
 
 
 def _id12_lhs(pt, policy, meter):

@@ -24,7 +24,7 @@ from .functions import (
     polylog,
     stieltjes_gamma1,
 )
-from .identities import EvalPoint, UnknownIdentityError
+from .identities import EvalPoint, UnknownIdentityError, get_identity
 from .numerics import DomainError, PoleError, PrecisionPolicy, principal_log, principal_pow
 
 __all__ = [
@@ -296,7 +296,7 @@ def _o_id11(pt, policy):
 def _o_id12(pt, policy):
     x = complex(pt.x)
     lhs = 1 + 0j
-    for p in range(12, 0, -1):
+    for p in range(get_identity("ID-12").trend.n_hi, 0, -1):
         log_factor = (-(2.0 ** (p - 1) * x) * math.log(2.0)
                       + log_gamma((2.0 ** p * x + 1.0) / 2.0)
                       - 2.0 * log_gamma((2.0 ** p * x + 2.0) / 4.0))

@@ -208,12 +208,12 @@ def test_criterion_08_limit_trend_gate():
 
 def test_criterion_09_stieltjes_sum():
     strategy = default_strategy("ID-13", count=50, seed=SEED)
-    results = run("ID-13", 50, tol=1e-5, strategy=strategy)
+    results = run("ID-13", 50, tol=1e-10, strategy=strategy)
     passes = sum(r.passed for r in results)
     worst_abs = max(r.abs_err for r in results)
-    ok = passes == 50 and worst_abs <= 1e-5
+    ok = passes == 50 and worst_abs <= 1e-10
     assert announce(9, ok, f"ID-13 {passes}/50, worst raw |lhs-rhs| "
-                           f"{worst_abs:.3e} <= 1e-5")
+                           f"{worst_abs:.3e} <= 1e-10")
 
 
 def test_criterion_10_polylog_sum():

@@ -434,26 +434,113 @@ def test_harmonic_pole():
 
 # ------------------------------------------------------------ stieltjes gamma1
 
+GAMMA1_AT_ONE = -0.07281584548367672486
+
+
 def test_gamma1_at_one(policy):
     oracle = stieltjes1_fd_oracle(1.0, policy)
     value = stieltjes_gamma1(1.0, policy)
     assert abs(value - oracle) <= 1e-9
-    assert abs(value - (-0.0728158454836767)) <= 1e-7
+    assert abs(value - GAMMA1_AT_ONE) <= 1e-13
 
 
 def test_gamma1_recurrence_at_two(policy):
     # gamma_1(a+1) = gamma_1(a) - ln(a)/a, and ln(1) = 0
-    assert abs(stieltjes_gamma1(2.0, policy) - stieltjes_gamma1(1.0, policy)) <= 1e-7
+    assert abs(stieltjes_gamma1(2.0, policy) - GAMMA1_AT_ONE) <= 1e-13
 
 
 def test_gamma1_half_cross_check(policy):
     value = stieltjes_gamma1(0.5, policy)
-    cross = (stieltjes_gamma1(1.0, policy)
-             - 2.0 * EULER_GAMMA * LN2 - LN2 * LN2)
-    assert abs(value - cross) <= 1e-7
+    cross = GAMMA1_AT_ONE - 2.0 * EULER_GAMMA * LN2 - LN2 * LN2
+    assert abs(value - cross) <= 1e-13
     assert abs(value - stieltjes1_fd_oracle(0.5, policy)) <= 1e-9
 
 
 def test_gamma1_pole(policy):
     with pytest.raises(PoleError):
         stieltjes_gamma1(0.0, policy)
+
+
+def test_gamma1_recurrence_200_points(policy):
+    # gamma_1(a) - gamma_1(a+1) = log(a)/a with the principal log, also for
+    # Re a < 0, where the Euler-Maclaurin head runs through a itself
+    rng = seeded(29)
+    left = 0
+    for _ in range(200):
+        a = random_complex(rng, (-6.0, 8.0), (-3.0, 3.0))
+        left += a.real < 0
+        value = stieltjes_gamma1(a, policy)
+        delta = value - stieltjes_gamma1(a + 1.0, policy) - principal_log(a) / a
+        assert abs(delta) <= 1e-13 * max(1.0, abs(value))
+    assert left >= 50
+
+
+def test_gamma1_duplication_100_points(policy):
+    # the (s-1) coefficient of zeta(s, a) + zeta(s, a+1/2) = 2^s zeta(s, 2a):
+    # gamma_1(a) + gamma_1(a+1/2) = 2 gamma_1(2a) + 2 ln 2 psi(2a) - ln^2 2;
+    # a, a+1/2 and 2a end their heads at different w
+    rng = seeded(31)
+    for _ in range(100):
+        a = random_complex(rng, (0.3, 8.0), (-3.0, 3.0))
+        lhs = stieltjes_gamma1(a, policy) + stieltjes_gamma1(a + 0.5, policy)
+        rhs = (2.0 * stieltjes_gamma1(2.0 * a, policy) + 2.0 * LN2 * digamma(2.0 * a)
+               - LN2 * LN2)
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+
+def test_gamma1_matches_difference_oracle_at_complex_a(policy):
+    rng = seeded(37)
+    for _ in range(30):
+        a = random_complex(rng, (0.5, 6.0), (-2.0, 2.0))
+        assert abs(stieltjes_gamma1(a, policy) - stieltjes1_fd_oracle(a, policy)) <= 1e-9
+
+
+def _bernoulli(count):
+    """B_0..B_count as exact rationals (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, count + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_gamma1_constants_are_exact_rationals():
+    # B_{2j}/(2j) and H_{2j-1}, j = 1..7, rounded once from exact rationals
+    b = _bernoulli(14)
+    for j in range(1, 8):
+        assert functions._DIGAMMA_BERNOULLI[j - 1] == float(b[2 * j] / (2 * j))
+        harmonic_odd = sum(Fraction(1, i) for i in range(1, 2 * j))
+        assert functions._ODD_HARMONIC[j - 1] == float(harmonic_odd)
+
+
+def test_gamma1_remainder_bound_holds():
+    # a loose rel_tol ends the head at a small |w|; the result must still be
+    # within the bound's target of the default-policy value
+    rng = seeded(41)
+    for rel_tol in (1e-2, 1e-4, 1e-6):
+        loose = PrecisionPolicy(rel_tol=rel_tol)
+        for _ in range(20):
+            a = random_complex(rng, (0.2, 4.0), (-2.0, 2.0))
+            gap = abs(stieltjes_gamma1(a, loose) - stieltjes_gamma1(a))
+            assert gap <= 1e-2 * rel_tol
+
+
+def test_gamma1_term_budget():
+    with pytest.raises(ConvergenceError):
+        stieltjes_gamma1(1.0, PrecisionPolicy(max_terms=3))
+    with pytest.raises(ConvergenceError):
+        stieltjes_gamma1(-50.5 + 0.25j, PrecisionPolicy(max_terms=40))
+    assert stieltjes_gamma1(100.0, PrecisionPolicy(max_terms=1)) != 0
+
+
+def test_gamma1_makes_no_zeta_call(policy, monkeypatch):
+    calls = []
+    real = functions.hurwitz_zeta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(functions, "hurwitz_zeta", counted)
+    for a in (1.0, 0.5, 3.7 - 1.2j, -2.5 + 0.5j, 400.25):
+        stieltjes_gamma1(a, policy)
+    assert calls == []
