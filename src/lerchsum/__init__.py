@@ -35,9 +35,7 @@ from .numerics import (
 from .oracle import OracleReport, finite_sum_direct, limit_probe, phi_series_bruteforce
 from .verifier import (
     DEFAULT_SEED,
-    DEFAULT_TOLERANCES,
     SampleStrategy,
-    SuiteOverride,
     SuiteReport,
     VerificationResult,
     default_strategy,

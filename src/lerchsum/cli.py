@@ -27,13 +27,7 @@ from .functions import (
 from .identities import UnknownIdentityError, get_identity, list_identities
 from .numerics import ConvergenceError, DomainError, PrecisionPolicy
 from .report import write_report
-from .verifier import (
-    DEFAULT_SEED,
-    SuiteOverride,
-    SuiteReport,
-    default_strategy,
-    run_suite,
-)
+from .verifier import DEFAULT_SEED, SuiteReport, run_suite
 
 __all__ = ["main"]
 
@@ -72,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override tolerance for non-absolute-mode identities")
         p.add_argument("--tol-abs", type=float, default=None,
                        help="override tolerance for absolute-mode identities")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="report file path")
 
@@ -151,13 +144,9 @@ def _print_suite_table(report: SuiteReport) -> None:
 def _cmd_verify(args) -> int:
     _validate_tols(args)
     spec = get_identity(args.id)
-    policy = PrecisionPolicy()
-    override = SuiteOverride(
-        strategy=default_strategy(spec.id, count=args.count, seed=args.seed),
-        tol=_tol_override(spec.id, args),
-    )
-    report = run_suite(policy, overrides={spec.id: override}, count=args.count,
-                       seed=args.seed, jobs=args.jobs, ids=[spec.id])
+    tol = _tol_override(spec.id, args)
+    report = run_suite(PrecisionPolicy(), tols={} if tol is None else {spec.id: tol},
+                       count=args.count, seed=args.seed, ids=[spec.id])
     out = args.out or f"verify_report.{args.format}"
     write_report(report, out, args.format)
     row = report.rows[0]
@@ -174,16 +163,15 @@ def _cmd_suite(args) -> int:
         ids = [token.strip() for token in args.filter.split(",") if token.strip()]
         for identity_id in ids:
             get_identity(identity_id)
-    overrides = {}
-    if args.tol_rel is not None or args.tol_abs is not None:
-        for spec in list_identities():
-            if ids is not None and spec.id not in ids:
-                continue
-            tol = _tol_override(spec.id, args)
-            if tol is not None:
-                overrides[spec.id] = SuiteOverride(tol=tol)
-    report = run_suite(PrecisionPolicy(), overrides=overrides, count=args.count,
-                       seed=args.seed, jobs=args.jobs, ids=ids)
+    tols = {}
+    for spec in list_identities():
+        if ids is not None and spec.id not in ids:
+            continue
+        tol = _tol_override(spec.id, args)
+        if tol is not None:
+            tols[spec.id] = tol
+    report = run_suite(PrecisionPolicy(), tols=tols, count=args.count,
+                       seed=args.seed, ids=ids)
     out = args.out or f"suite_report.{args.format}"
     write_report(report, out, args.format)
     _print_suite_table(report)

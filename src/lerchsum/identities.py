@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .functions import (
     LerchParams,
@@ -92,10 +92,6 @@ class EvalPoint:
     def present(self) -> frozenset:
         return frozenset(f.name for f in fields(self) if getattr(self, f.name) is not None)
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not None}
-
 
 TermGen = Callable[[EvalPoint, PrecisionPolicy, CancellationMeter], Iterator[complex]]
 
@@ -132,6 +128,15 @@ class TrendGate:
 
 @dataclass(frozen=True)
 class IdentitySpec:
+    """One registry entry and everything the verifier needs to check it.
+
+    tol is the comparison tolerance: a point passes when its metric is at
+    most tol * max(1, cond).  region maps each schema field to the sampling
+    box ((re_lo, re_hi), (im_lo, im_hi)), and "n" to an inclusive integer
+    range (lo, hi).  lift, when set, maps the drawn field values to the
+    point's values, for a field whose box is not in its own units.
+    """
+
     id: str
     title: str
     description: str
@@ -140,11 +145,15 @@ class IdentitySpec:
     lhs: SideExpr
     rhs: SideExpr
     constraints: Callable[[EvalPoint, float], bool]
+    tol: float
+    region: Mapping[str, tuple]
     trend: Optional[TrendGate] = None
+    lift: Optional[Callable[[dict], dict]] = None
 
 
-def _collect(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy,
-             meter: CancellationMeter) -> list:
+def side_terms(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy,
+               meter: CancellationMeter) -> list:
+    """The side's raw top-level terms, each failure tagged with its index."""
     out = []
     gen = expr.terms(pt, policy, meter)
     index = 0
@@ -167,7 +176,7 @@ def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPol
     The shared meter only collects peak magnitudes (for the conditioning
     estimate); each side is accumulated in its own fresh accumulator.
     """
-    terms = _collect(side, expr, pt, policy, meter)
+    terms = side_terms(side, expr, pt, policy, meter)
     if expr.kind == "sum":
         local = CancellationMeter()
         value = local.sum(terms)
@@ -178,12 +187,6 @@ def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPol
         value *= t
         meter.note(abs(value))
     return value
-
-
-def side_terms(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy,
-               meter: CancellationMeter) -> list:
-    """Expose the raw top-level terms (used by the mutation machinery)."""
-    return _collect(side, expr, pt, policy, meter)
 
 
 # --------------------------------------------------------------------------
@@ -317,9 +320,16 @@ def _id01_constraints(pt, margin):
     return _dist_nonpositive_integer(0.5 - 0.25 * _I * la) >= margin
 
 
+def _id01_lift(values: dict) -> dict:
+    """'a' is drawn in log units of 2^-n: a = exp(drawn * 2^-n), so every
+    draw meets the guard |log a| <= 2^-n whatever n is."""
+    return {**values, "a": cmath.exp(values["a"] * (2.0 ** -values["n"]))}
+
+
 # --------------------------------------------------------------------------
 # ID-02: degenerate case
 #   sum 2^-p-1 tan(m 2^-p-1) sec(m 2^-p) = csc(2m) - 2^-n-1 csc(m 2^-n)
+# Its poles are those of ID-00, so it shares _id00_constraints.
 # --------------------------------------------------------------------------
 
 def _id02_lhs(pt, policy, meter):
@@ -341,19 +351,6 @@ def _id02_rhs_prudnikov(pt, policy, meter):
     m = complex(pt.m)
     yield (2.0 ** -(pt.n + 1)) * _csc(m * 2.0 ** -pt.n)
     yield -_csc(2.0 * m)
-
-
-def _id02_constraints(pt, margin):
-    if pt.m is None or pt.n is None:
-        return False
-    m = complex(pt.m)
-    for p in range(pt.n + 1):
-        if _dist_cos_zero(m, 2.0 ** -(p + 1)) < margin:
-            return False
-        if _dist_cos_zero(m, 2.0 ** -p) < margin:
-            return False
-    return (_dist_sin_zero(m, 2.0) >= margin
-            and _dist_sin_zero(m, 2.0 ** -pt.n) >= margin)
 
 
 # --------------------------------------------------------------------------
@@ -867,6 +864,8 @@ _REGISTRY = (
         schema=("m", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id00_lhs), rhs=SideExpr("sum", _id00_rhs),
         constraints=_id00_constraints,
+        tol=1e-10,
+        region={"m": ((0.2, 2.5), (-1.0, 1.0)), "n": (0, 10)},
     ),
     IdentitySpec(
         id="ID-01", title="main-theorem",
@@ -874,13 +873,19 @@ _REGISTRY = (
         schema=("a", "m", "k", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id01_lhs), rhs=SideExpr("sum", _id01_rhs),
         constraints=_id01_constraints,
+        tol=1e-9,
+        region={"m": ((0.2, 2.5), (0.5, 2.0)), "k": ((-3.0, 3.0), (-2.0, 2.0)),
+                "a": ((-0.7, 0.7), (-0.7, 0.7)), "n": (0, 8)},
+        lift=_id01_lift,
     ),
     IdentitySpec(
         id="ID-02", title="degenerate",
         description="tan*sec telescoping sum, corrected tabulated form",
         schema=("m", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id02_lhs), rhs=SideExpr("sum", _id02_rhs),
-        constraints=_id02_constraints,
+        constraints=_id00_constraints,
+        tol=1e-10,
+        region={"m": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
     IdentitySpec(
         id="ID-03", title="cos-ratio-two-param",
@@ -888,6 +893,9 @@ _REGISTRY = (
         schema=("m", "r", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id03_lhs), rhs=SideExpr("product", _id03_rhs),
         constraints=_id03_constraints,
+        tol=1e-9,
+        region={"m": ((0.2, 2.5), (0.0, 0.0)), "r": ((0.2, 2.5), (0.0, 0.0)),
+                "n": (0, 10)},
     ),
     IdentitySpec(
         id="ID-04", title="functional-equation",
@@ -895,6 +903,9 @@ _REGISTRY = (
         schema=("z", "s", "a"), compare_mode="relative",
         lhs=SideExpr("sum", _id04_lhs), rhs=SideExpr("sum", _id04_rhs),
         constraints=_id04_constraints,
+        tol=1e-9,
+        region={"z": ((-0.8, 0.8), (-0.8, 0.8)), "s": ((-2.0, 3.0), (-2.0, 2.0)),
+                "a": ((0.5, 4.0), (-1.0, 1.0))},
     ),
     IdentitySpec(
         id="ID-05", title="cos-ratio-k1",
@@ -902,6 +913,8 @@ _REGISTRY = (
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id05_lhs), rhs=SideExpr("product", _id05_rhs),
         constraints=_id05_constraints,
+        tol=1e-9,
+        region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
     IdentitySpec(
         id="ID-06", title="exp-cos-product",
@@ -909,6 +922,8 @@ _REGISTRY = (
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id06_lhs), rhs=SideExpr("product", _id06_rhs),
         constraints=_id06_constraints,
+        tol=1e-7,
+        region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
     IdentitySpec(
         id="ID-07", title="loggamma-sum",
@@ -916,6 +931,8 @@ _REGISTRY = (
         schema=("a", "n"), compare_mode="mod_2pi_i",
         lhs=SideExpr("sum", _id07_lhs), rhs=SideExpr("sum", _id07_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
+        tol=1e-9,
+        region={"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
     ),
     IdentitySpec(
         id="ID-08", title="loggamma-sum-alt",
@@ -923,6 +940,8 @@ _REGISTRY = (
         schema=("a", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id08_lhs), rhs=SideExpr("sum", _id08_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
+        tol=1e-9,
+        region={"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
     ),
     IdentitySpec(
         id="ID-09", title="digamma-sum",
@@ -930,6 +949,8 @@ _REGISTRY = (
         schema=("a", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id09_lhs), rhs=SideExpr("sum", _id09_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
+        tol=1e-9,
+        region={"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
     ),
     IdentitySpec(
         id="ID-10", title="loggamma-transform",
@@ -937,6 +958,8 @@ _REGISTRY = (
         schema=("a",), compare_mode="relative",
         lhs=SideExpr("sum", _id10_lhs), rhs=SideExpr("sum", _id10_rhs),
         constraints=_id10_constraints,
+        tol=1e-9,
+        region={"a": ((2.1, 8.0), (0.0, 0.0))},
     ),
     IdentitySpec(
         id="ID-11", title="nielsen-product",
@@ -944,6 +967,8 @@ _REGISTRY = (
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id11_lhs), rhs=SideExpr("product", _id11_rhs),
         constraints=_id11_constraints,
+        tol=1e-9,
+        region={"x": ((0.05, 0.95), (0.0, 0.0)), "n": (1, 10)},
     ),
     IdentitySpec(
         id="ID-12", title="nielsen-infinite",
@@ -951,6 +976,8 @@ _REGISTRY = (
         schema=("x",), compare_mode="relative",
         lhs=SideExpr("product", _id12_lhs), rhs=SideExpr("product", _id12_rhs),
         constraints=_id12_constraints,
+        tol=_ID12_GATE.final_tol,
+        region={"x": ((0.05, 0.95), (0.0, 0.0))},
         trend=_ID12_GATE,
     ),
     IdentitySpec(
@@ -959,6 +986,8 @@ _REGISTRY = (
         schema=("a", "n"), compare_mode="absolute",
         lhs=SideExpr("sum", _id13_lhs), rhs=SideExpr("sum", _id13_rhs),
         constraints=_real_a_constraints(2.0, 6.5),
+        tol=1e-10,  # gamma_1 is summed to rel_tol/100; worst raw gap ~3e-14
+        region={"a": ((2.1, 6.0), (0.0, 0.0)), "n": (0, 6)},
     ),
     IdentitySpec(
         id="ID-14", title="polylog-sum",
@@ -966,6 +995,9 @@ _REGISTRY = (
         schema=("m", "k", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id14_lhs), rhs=SideExpr("sum", _id14_rhs),
         constraints=_id14_constraints,
+        tol=1e-9,
+        region={"m": ((0.2, 2.5), (0.5, 2.0)), "k": ((-3.0, 3.0), (-2.0, 2.0)),
+                "n": (0, 8)},
     ),
     IdentitySpec(
         id="ID-15", title="exp-trig-product",
@@ -973,6 +1005,8 @@ _REGISTRY = (
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id15_lhs), rhs=SideExpr("sum", _id15_rhs),
         constraints=_id15_constraints,
+        tol=1e-8,
+        region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
 )
 
@@ -998,13 +1032,11 @@ def prudnikov_original() -> IdentitySpec:
     confirm that the comparator rejects the erroneous printed form while the
     corrected one passes.
     """
-    base = get_identity("ID-02")
-    return IdentitySpec(
+    return replace(
+        get_identity("ID-02"),
         id="ID-02-PRUDNIKOV-ORIGINAL", title="degenerate-uncorrected",
         description="ID-02 with the right side's terms sign-swapped",
-        schema=base.schema, compare_mode=base.compare_mode,
-        lhs=base.lhs, rhs=SideExpr("sum", _id02_rhs_prudnikov),
-        constraints=base.constraints,
+        rhs=SideExpr("sum", _id02_rhs_prudnikov),
     )
 
 

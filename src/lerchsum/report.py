@@ -98,27 +98,22 @@ def _result_obj(result: VerificationResult) -> dict:
     }
 
 
-def report_to_obj(report: SuiteReport, include_points: bool = True,
-                  timestamp: Optional[str] = None) -> dict:
+def report_to_obj(report: SuiteReport, timestamp: Optional[str] = None) -> dict:
     """Plain-dict form of a suite report (the JSON schema)."""
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
-    identities = []
-    for row in report.rows:
-        entry = {
-            "id": row.identity_id,
-            "title": row.title,
-            "mode": row.mode,
-            "tol": row.tol,
-            "count": row.points,
-            "passed": row.passed,
-            "pass_rate": row.pass_rate,
-            "worst_rel_err": row.worst_rel_err,
-            "worst_abs_err": row.worst_abs_err,
-        }
-        if include_points:
-            entry["points"] = [_result_obj(r) for r in row.results]
-        identities.append(entry)
+    identities = [{
+        "id": row.identity_id,
+        "title": row.title,
+        "mode": row.mode,
+        "tol": row.tol,
+        "count": row.points,
+        "passed": row.passed,
+        "pass_rate": row.pass_rate,
+        "worst_rel_err": row.worst_rel_err,
+        "worst_abs_err": row.worst_abs_err,
+        "points": [_result_obj(r) for r in row.results],
+    } for row in report.rows]
     return {
         "meta": {
             "seed": report.seed,
@@ -142,10 +137,9 @@ def strip_volatile(obj: dict) -> dict:
     return {"meta": meta, "identities": obj["identities"]}
 
 
-def dumps_json(report: SuiteReport, include_points: bool = True,
-               timestamp: Optional[str] = None) -> str:
+def dumps_json(report: SuiteReport, timestamp: Optional[str] = None) -> str:
     out = StringIO()
-    _dump(report_to_obj(report, include_points, timestamp), out)
+    _dump(report_to_obj(report, timestamp), out)
     out.write("\n")
     return out.getvalue()
 

@@ -13,7 +13,6 @@ import cmath
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -39,8 +38,6 @@ __all__ = [
     "VerificationResult",
     "IdentityReport",
     "SuiteReport",
-    "SuiteOverride",
-    "DEFAULT_TOLERANCES",
     "DEFAULT_SEED",
     "default_strategy",
     "sample_points",
@@ -51,50 +48,6 @@ __all__ = [
 
 DEFAULT_SEED = 20240601
 DEFAULT_POLE_MARGIN = 0.05
-
-# comparison tolerance per identity; the pass test is metric <= tol * max(1, cond)
-DEFAULT_TOLERANCES = {
-    "ID-00": 1e-10,
-    "ID-01": 1e-9,
-    "ID-02": 1e-10,
-    "ID-03": 1e-9,
-    "ID-04": 1e-9,
-    "ID-05": 1e-9,
-    "ID-06": 1e-7,
-    "ID-07": 1e-9,
-    "ID-08": 1e-9,
-    "ID-09": 1e-9,
-    "ID-10": 1e-9,
-    "ID-11": 1e-9,
-    "ID-12": 1e-6,  # trend gate's final-error bound at the gate's upper n
-    "ID-13": 1e-10,  # gamma_1 is summed to rel_tol/100; worst raw gap ~3e-14
-    "ID-14": 1e-9,
-    "ID-15": 1e-8,
-}
-
-DEFAULT_REGIONS = {
-    "ID-00": {"m": ((0.2, 2.5), (-1.0, 1.0)), "n": (0, 10)},
-    # the 'a' box is in log units of 2^-n: a = exp(box_draw * 2^-n)
-    "ID-01": {"m": ((0.2, 2.5), (0.5, 2.0)), "k": ((-3.0, 3.0), (-2.0, 2.0)),
-              "a": ((-0.7, 0.7), (-0.7, 0.7)), "n": (0, 8)},
-    "ID-02": {"m": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
-    "ID-03": {"m": ((0.2, 2.5), (0.0, 0.0)), "r": ((0.2, 2.5), (0.0, 0.0)),
-              "n": (0, 10)},
-    "ID-04": {"z": ((-0.8, 0.8), (-0.8, 0.8)), "s": ((-2.0, 3.0), (-2.0, 2.0)),
-              "a": ((0.5, 4.0), (-1.0, 1.0))},
-    "ID-05": {"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
-    "ID-06": {"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
-    "ID-07": {"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
-    "ID-08": {"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
-    "ID-09": {"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
-    "ID-10": {"a": ((2.1, 8.0), (0.0, 0.0))},
-    "ID-11": {"x": ((0.05, 0.95), (0.0, 0.0)), "n": (1, 10)},
-    "ID-12": {"x": ((0.05, 0.95), (0.0, 0.0))},
-    "ID-13": {"a": ((2.1, 6.0), (0.0, 0.0)), "n": (0, 6)},
-    "ID-14": {"m": ((0.2, 2.5), (0.5, 2.0)), "k": ((-3.0, 3.0), (-2.0, 2.0)),
-              "n": (0, 8)},
-    "ID-15": {"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
-}
 
 _TWO_PI = 2.0 * math.pi
 
@@ -123,11 +76,8 @@ class SampleStrategy:
 
 def default_strategy(identity_id: str, count: int = 100,
                      seed: int = DEFAULT_SEED) -> SampleStrategy:
-    try:
-        region = DEFAULT_REGIONS[identity_id]
-    except KeyError:
-        raise DomainError(f"no default region for {identity_id!r}") from None
-    return SampleStrategy(seed=seed, count=count, region=region)
+    return SampleStrategy(seed=seed, count=count,
+                          region=get_identity(identity_id).region)
 
 
 def _draw_point(spec: IdentitySpec, strategy: SampleStrategy,
@@ -146,9 +96,8 @@ def _draw_point(spec: IdentitySpec, strategy: SampleStrategy,
         re = rng.uniform(re_lo, re_hi)
         im = rng.uniform(im_lo, im_hi) if im_hi > im_lo else im_lo
         values[name] = complex(re, im)
-    if spec.id == "ID-01":
-        # 'a' was drawn in log units; scale the guard |log a| <= 2^-n and lift
-        values["a"] = cmath.exp(values["a"] * (2.0 ** -values["n"]))
+    if spec.lift is not None:
+        values = spec.lift(values)
     return EvalPoint(**values)
 
 
@@ -258,18 +207,14 @@ def _verify_one_point(spec, index, point, policy, tol):
 
 def verify_identity(spec: IdentitySpec, strategy: SampleStrategy,
                     policy: PrecisionPolicy = PrecisionPolicy(),
-                    tol: Optional[float] = None, jobs: int = 1) -> list:
-    """One VerificationResult per sampled point, in sample order."""
+                    tol: Optional[float] = None) -> list:
+    """One VerificationResult per sampled point, in sample order, judged at
+    `tol` or, when it is None, at the spec's own tolerance."""
     if tol is None:
-        tol = DEFAULT_TOLERANCES.get(spec.id, 1e-9)
+        tol = spec.tol
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tolerance must be positive and finite")
     points = sample_points(spec, strategy)
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(
-                lambda ip: _verify_one_point(spec, ip[0], ip[1], policy, tol),
-                enumerate(points)))
     return [_verify_one_point(spec, i, p, policy, tol)
             for i, p in enumerate(points)]
 
@@ -308,12 +253,6 @@ class SuiteReport:
         return all(row.all_passed for row in self.rows)
 
 
-@dataclass(frozen=True)
-class SuiteOverride:
-    strategy: Optional[SampleStrategy] = None
-    tol: Optional[float] = None
-
-
 def _summarize(spec, tol, results) -> IdentityReport:
     rels = [r.rel_err for r in results if r.rel_err is not None]
     abss = [r.abs_err for r in results if r.abs_err is not None]
@@ -331,28 +270,24 @@ def _summarize(spec, tol, results) -> IdentityReport:
 
 
 def run_suite(policy: PrecisionPolicy = PrecisionPolicy(),
-              overrides: Optional[Mapping[str, SuiteOverride]] = None,
-              count: int = 100, seed: int = DEFAULT_SEED, jobs: int = 1,
+              tols: Optional[Mapping[str, float]] = None,
+              count: int = 100, seed: int = DEFAULT_SEED,
               ids: Optional[Sequence[str]] = None) -> SuiteReport:
     """Verify every registry identity (or the given subset) and aggregate.
 
-    overrides maps identity ids to replacement strategies/tolerances; ids are
+    tols maps identity ids to tolerances that replace the specs' own; ids are
     validated against the registry before any evaluation starts.
     """
-    overrides = dict(overrides or {})
-    for oid in overrides:
+    tols = tols or {}
+    for oid in tols:
         get_identity(oid)
-    selected = list(list_identities())
-    if ids is not None:
-        wanted = [get_identity(i) for i in ids]
-        selected = wanted
+    selected = list_identities() if ids is None else [get_identity(i) for i in ids]
     start = time.perf_counter()
     rows = []
     for spec in selected:
-        override = overrides.get(spec.id, SuiteOverride())
-        strategy = override.strategy or default_strategy(spec.id, count=count, seed=seed)
-        tol = override.tol if override.tol is not None else DEFAULT_TOLERANCES[spec.id]
-        results = verify_identity(spec, strategy, policy, tol=tol, jobs=jobs)
+        strategy = SampleStrategy(seed=seed, count=count, region=spec.region)
+        tol = tols.get(spec.id, spec.tol)
+        results = verify_identity(spec, strategy, policy, tol=tol)
         rows.append(_summarize(spec, tol, results))
     wall = time.perf_counter() - start
     return SuiteReport(rows=tuple(rows), seed=seed, count=count, policy=policy,

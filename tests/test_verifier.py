@@ -7,7 +7,6 @@ from lerchsum import (
     DomainError,
     EvalPoint,
     SampleStrategy,
-    SuiteOverride,
     default_strategy,
     get_identity,
     mutated_spec,
@@ -102,15 +101,6 @@ def test_monotone_tolerance(policy):
             assert b.passed
 
 
-def test_jobs_do_not_change_results(policy):
-    spec = get_identity("ID-05")
-    strategy = default_strategy("ID-05", count=12, seed=9)
-    serial = verify_identity(spec, strategy, policy, jobs=1)
-    parallel = verify_identity(spec, strategy, policy, jobs=4)
-    assert [(r.passed, r.rel_err, r.cond) for r in serial] == \
-           [(r.passed, r.rel_err, r.cond) for r in parallel]
-
-
 def test_cond_growth_trend_for_exp_product(policy):
     # the exp-product identity loses digits as x -> 0 (its cosine combination
     # collapses to O(x^2) before csc blows it back up); cond must grow as x
@@ -142,9 +132,9 @@ def test_exp_equality_mode_accepts_2pi_shifts(policy):
         schema=("x",), compare_mode="exp_equality",
         lhs=SideExpr("sum", lhs_terms), rhs=SideExpr("sum", rhs_terms),
         constraints=lambda pt, margin: True,
+        tol=1e-12, region={"x": ((0.0, 1.0), (0.0, 0.0))},
     )
-    strategy = SampleStrategy(seed=1, count=3,
-                              region={"x": ((0.0, 1.0), (0.0, 0.0))})
+    strategy = SampleStrategy(seed=1, count=3, region=synthetic.region)
     results = verify_identity(synthetic, strategy, policy, tol=1e-12)
     assert all(r.passed for r in results)
     relative = IdentitySpec(
@@ -152,6 +142,7 @@ def test_exp_equality_mode_accepts_2pi_shifts(policy):
         schema=("x",), compare_mode="relative",
         lhs=SideExpr("sum", lhs_terms), rhs=SideExpr("sum", rhs_terms),
         constraints=lambda pt, margin: True,
+        tol=1e-12, region=synthetic.region,
     )
     results = verify_identity(relative, strategy, policy, tol=1e-12)
     assert not any(r.passed for r in results)
@@ -169,14 +160,27 @@ def test_mutation_detected(policy, identity_id):
     spec = get_identity(identity_id)
     strategy = default_strategy(identity_id, count=15, seed=21)
     corrupted = mutated_spec(spec)
-    results = verify_identity(corrupted, strategy, policy,
-                              tol=verify_tol(identity_id))
+    results = verify_identity(corrupted, strategy, policy, tol=spec.tol)
     assert sum(r.passed for r in results) == 0
 
 
-def verify_tol(identity_id):
-    from lerchsum.verifier import DEFAULT_TOLERANCES
-    return DEFAULT_TOLERANCES[identity_id]
+def test_mutated_main_theorem_keeps_its_log_unit_draw():
+    # the mutated spec carries ID-01's lift, so it samples the whole n range
+    # under the guard |log a| <= 2^-n, as ID-01 itself does
+    import cmath
+    spec = mutated_spec(get_identity("ID-01"))
+    points = sample_points(spec, default_strategy("ID-01", count=20, seed=20240603))
+    assert len({pt.n for pt in points}) >= 5
+    assert all(abs(cmath.log(pt.a)) <= 2.0 ** -pt.n for pt in points)
+
+
+def test_derived_specs_are_judged_at_their_identity_tolerance(policy):
+    mutated = mutated_spec(get_identity("ID-13"))
+    results = verify_identity(mutated, default_strategy("ID-13", count=3, seed=5), policy)
+    assert {r.tol for r in results} == {1e-10}
+    sidecar = prudnikov_original()
+    results = verify_identity(sidecar, default_strategy("ID-02", count=3, seed=7), policy)
+    assert {r.tol for r in results} == {1e-10}
 
 
 # ---------------------------------------------------------------------- suite
@@ -190,12 +194,11 @@ def test_suite_filter_and_rows(policy):
 def test_suite_rejects_unknown_override(policy):
     from lerchsum.identities import UnknownIdentityError
     with pytest.raises(UnknownIdentityError):
-        run_suite(policy, overrides={"ID-99": SuiteOverride(tol=1.0)}, count=1)
+        run_suite(policy, tols={"ID-99": 1.0}, count=1)
 
 
 def test_suite_override_is_reflected(policy):
-    report = run_suite(policy, overrides={"ID-13": SuiteOverride(tol=1e-5)},
-                       count=4, seed=11, ids=["ID-13"])
+    report = run_suite(policy, tols={"ID-13": 1e-5}, count=4, seed=11, ids=["ID-13"])
     assert report.rows[0].tol == 1e-5
     assert report.rows[0].mode == "absolute"
 
