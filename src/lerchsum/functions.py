@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Optional
 
 from .numerics import (
@@ -189,33 +191,47 @@ def _add_tail(acc: CancellationMeter, zpow: complex, z: complex, s: complex,
     rho_k = (-1)^k (s)_k / (w(1-z))^k and E_k = A_k/k!, so |lead * rho_k|
     bounds it (|E_k(z)| <= 1 on the closed disk).  Stops once that bound on
     the next term falls under rel_tol * _TAIL_MARGIN times the running sum
-    (it is 0 past a terminating expansion).  Returns False if, past the
-    planned `terms`, the terms stop shrinking first.
+    (it is 0 past a terminating expansion), and adds the terms as one block.
+    Returns False, adding nothing, if past the planned `terms` the terms stop
+    shrinking first.
     """
     one_minus = 1.0 - z
     y = 1.0 / (w * one_minus)
     ay = abs(y)
     lead = zpow * cmath.exp(-s * principal_log(w)) / one_minus
-    acc.add(lead)
+    block = [lead]
+    total = acc.value + lead
     lead *= z
     rho = 1.0 + 0j
     target = _TAIL_MARGIN * policy.rel_tol
     for k in range(1, _TAIL_ROWS):
         ratio = abs(s + (k - 1)) * ay  # |rho_k / rho_(k-1)|
-        if abs(lead * rho) * ratio <= target * max(abs(acc.value), policy.abs_tol):
+        if abs(lead * rho) * ratio <= target * max(abs(total), policy.abs_tol):
+            acc.add_block([t.real for t in block], [t.imag for t in block])
             return True
         if k > terms and ratio > _TAIL_RATIO:
             return False
         rho *= -(s + (k - 1)) * y
-        acc.add(lead * rho * _eulerian(k, z))
+        term = lead * rho * _eulerian(k, z)
+        block.append(term)
+        total += term
     return False
+
+
+_BLOCK = 32  # series terms summed per CancellationMeter.add_block call
 
 
 def _sum_series(acc: CancellationMeter, z: complex, az: float, s: complex,
                 v: complex, policy: PrecisionPolicy, head: Optional[int]) -> complex:
-    """Feed the series terms into acc: the first `head` terms, or (head None)
-    until the tail bound of lerch_phi's docstring is met.  Returns z^N for the
-    N terms summed."""
+    """Feed the series terms into acc in blocks of up to _BLOCK: the first
+    `head` terms, or (head None) until the tail bound of lerch_phi's docstring
+    is met at a block end.  Returns z^N for the N terms summed."""
+    if not cmath.isfinite(v):
+        raise DomainError(f"argument must be finite, got {v!r}")
+    if v.imag == 0.0:
+        # cmath.log gives arg = -pi at Im = -0.0, principal_log's branch +pi;
+        # from Python 3.14 on, v + k keeps the sign of a zero imaginary part
+        v = complex(v.real, 0.0)
     on_circle = az >= 1.0
     rs, is_ = s.real, s.imag
     cs_arg = abs(is_) * math.pi / 2.0
@@ -224,27 +240,29 @@ def _sum_series(acc: CancellationMeter, z: complex, az: float, s: complex,
     d_star = 1.0 if on_circle else max(1.0, abs(rs) / max(1e-300, -math.log(az)))
     stop, first_check = (policy.max_terms, 4) if head is None else (head, head)
 
+    exp, log, minus_s = cmath.exp, cmath.log, -s
     zpow = 1.0 + 0j
     n = 0
     while n < stop:
-        w = v + n
-        powfac = cmath.exp(-s * principal_log(w))
-        acc.add(powfac * zpow)
-        if n >= first_check:
-            total = acc.value
-            aw = abs(w)
+        m = min(_BLOCK, stop - n)
+        zpows = list(accumulate(repeat(z, m - 1), mul, initial=zpow))
+        powfacs = [exp(minus_s * log(v + k)) for k in range(n, n + m)]
+        terms = list(map(mul, powfacs, zpows))
+        acc.add_block([t.real for t in terms], [t.imag for t in terms])
+        n += m
+        zpow = zpows[-1] * z
+        if n > first_check:
+            aw = abs(v + (n - 1))
             c_s = math.exp(cs_arg + abs(rs) * max(0.0, -math.log(aw)))
-            scale = max(abs(total), policy.abs_tol)
+            scale = max(abs(acc.value), policy.abs_tol)
             if on_circle:
                 # integral-test tail for |z| = 1, Re(s) > 1
-                tail = abs(powfac) * aw / (rs - 1.0)
+                tail = abs(powfacs[-1]) * aw / (rs - 1.0)
             else:
                 growth = (1.0 + d_star / aw) ** abs(rs)
-                tail = az ** (n + 1) / (1.0 - az) * abs(powfac) * growth
+                tail = az ** n / (1.0 - az) * abs(powfacs[-1]) * growth
             if tail * c_s <= policy.rel_tol * scale:
                 return zpow
-        zpow *= z
-        n += 1
     if head is None:
         raise ConvergenceError(
             f"Phi series did not converge within {policy.max_terms} terms "
@@ -260,8 +278,8 @@ def lerch_phi(
 ) -> complex:
     """Phi by compensated summation: the direct series, or a head plus tail.
 
-    Series route: sums the defining series and truncates at the first N
-    whose geometric tail bound
+    Series route: sums the defining series in blocks of up to 32 terms and
+    truncates at the first block end, term N, whose geometric tail bound
     |z|^(N+1)/(1-|z|) * |(v+N)^(-s)| * C_s * G falls below
     rel_tol * |partial sum|, where C_s = exp(|Im s| pi/2 + |Re s| max(0, -ln|v+N|))
     guards the arg/modulus swing of the power factor and G bounds the modulus

@@ -1,7 +1,8 @@
 """Double-precision complex building blocks.
 
 Everything downstream is built on four primitives: principal-branch log and
-power, compensated (Neumaier) summation with cancellation tracking, and
+power, compensated summation with cancellation tracking (Neumaier steps for
+single terms, exact ``math.fsum`` compensation for blocks of terms), and
 Richardson-extrapolated central differences.  All values are plain Python
 ``complex``; overflow and NaN are error conditions, never results.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -112,11 +114,16 @@ def principal_pow(z: complex, s: complex) -> complex:
 
 
 class CancellationMeter:
-    """Neumaier-compensated accumulator that remembers its largest excursion.
+    """Compensated accumulator that remembers its largest excursion.
 
+    ``add`` takes one term with a Neumaier step.  ``add_block`` takes a block
+    of terms: it forms the same running sums as a loop of ``add`` and adds
+    the block's rounding error, computed exactly by ``math.fsum``
+    (Shewchuk, Discrete Comput. Geom. 18, 1997), to the compensation.
     ``peak`` is the largest magnitude reached by any term or partial sum fed
-    through this meter; dividing it by the final result magnitude gives the
-    conditioning estimate used to scale verification tolerances.
+    through this meter, the same number either way; dividing it by the final
+    result magnitude gives the conditioning estimate used to scale
+    verification tolerances.
     """
 
     __slots__ = ("_sr", "_si", "_cr", "_ci", "peak")
@@ -156,6 +163,33 @@ class CancellationMeter:
             raise SumOverflowError("partial sum overflowed the double range")
         self._sr, self._si = nr, ni
         m = max(abs(tr), abs(ti), abs(nr), abs(ni))
+        if m > self.peak:
+            self.peak = m
+
+    def add_block(self, re: Sequence[float], im: Sequence[float]) -> None:
+        """Add the terms re[i] + im[i]*1j, given as their real and imaginary parts.
+
+        Raises SumOverflowError, leaving the meter as it was, when a term or
+        a running sum is not finite.
+        """
+        if len(re) != len(im):
+            raise DomainError("add_block needs as many imaginary parts as real parts")
+        sr, si = self._sr, self._si
+        partial_r = list(accumulate(re, initial=sr))
+        partial_i = list(accumulate(im, initial=si))
+        nr, ni = partial_r[-1], partial_i[-1]
+        # a non-finite term or partial sum leaves every later partial sum non-finite
+        if not (math.isfinite(nr) and math.isfinite(ni)):
+            raise SumOverflowError("block of terms overflowed the double range")
+        try:
+            cr = math.fsum((sr, *re, -nr))
+            ci = math.fsum((si, *im, -ni))
+        except (OverflowError, ValueError) as exc:
+            raise SumOverflowError("block of terms overflowed the double range") from exc
+        self._cr += cr
+        self._ci += ci
+        self._sr, self._si = nr, ni
+        m = max(map(abs, chain(re, im, partial_r, partial_i)))
         if m > self.peak:
             self.peak = m
 

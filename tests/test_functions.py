@@ -71,6 +71,9 @@ def test_phi_domain_errors(policy):
         lerch_phi(LerchParams(0.5, 2.0, 0.0), policy)
     with pytest.raises(PoleError):
         lerch_phi(LerchParams(0.5, 2.0, -3.0), policy)
+    for z in (0.5, 0.99j):  # the series route and the head-plus-tail route
+        with pytest.raises(DomainError):
+            lerch_phi(LerchParams(z, 2.0, complex(1.0, math.inf)), policy)
 
 
 def test_phi_on_circle_needs_large_s(policy):
@@ -94,6 +97,43 @@ def test_phi_max_terms_exhaustion():
     tight = PrecisionPolicy(max_terms=50)
     with pytest.raises(ConvergenceError):
         lerch_phi(LerchParams(0.999, 1.0, 1.0), tight)
+
+
+def test_phi_series_keeps_principal_branch_at_negative_zero_imaginary_v(policy):
+    # (v+n)^(-s) on the negative real axis takes arg(v+n) = +pi, also when the
+    # imaginary part of v is -0.0 (cmath.log alone would take -pi there)
+    s = 1.5 + 0.5j
+    for z in (0.5, 0.3 - 0.4j, cmath.rect(0.98, 1.0)):  # the last is routed
+        minus = lerch_phi(LerchParams(z, s, complex(-2.5, -0.0)), policy)
+        plus = lerch_phi(LerchParams(z, s, complex(-2.5, 0.0)), policy)
+        assert minus == plus
+        ref = phi_series_bruteforce(LerchParams(z, s, complex(-2.5, -0.0)), 5000)
+        assert abs(minus - ref.value) <= 1e-11 * abs(ref.value)
+
+
+def test_phi_series_head_sums_exactly_head_terms(policy):
+    # 77 is not a multiple of the block length
+    z, s, v = 0.9 * cmath.exp(0.7j), -1.2 + 2.0j, complex(-2.5, -0.0)
+    acc = CancellationMeter()
+    zpow = functions._sum_series(acc, z, abs(z), s, v, policy, 77)
+    ref = phi_series_bruteforce(LerchParams(z, s, v), 77).value
+    assert abs(acc.value - ref) <= 1e-14 * acc.peak
+    assert abs(zpow - z ** 77) <= 1e-14 * abs(z ** 77)
+
+
+def test_phi_series_stops_at_max_terms_between_block_ends():
+    # max_terms = 1000 is not a multiple of the block length; neither point
+    # takes the head-plus-tail route
+    budget = PrecisionPolicy(max_terms=1000)
+    s, v = 1.5 + 0.5j, 1.3
+    assert _tail_plan(0.999 + 0j, 0.999, s, complex(v), budget) is None
+    with pytest.raises(ConvergenceError):
+        lerch_phi(LerchParams(0.999, s, v), budget)
+    # the series meets rel_tol at term 999 here, inside the last, short block
+    assert _tail_plan(0.9829 + 0j, 0.9829, s, complex(v), budget) is None
+    value = lerch_phi(LerchParams(0.9829, s, v), budget)
+    ref = phi_series_bruteforce(LerchParams(0.9829, s, v), 1000).value
+    assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 def test_phi_recurrence_200_points(policy):

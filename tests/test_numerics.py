@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,77 @@ def test_meter_peak_tracks_partials():
     meter.sum([1e6, -1e6, 1.0])
     assert meter.peak >= 1e6
     assert meter.value == pytest.approx(1.0)
+
+
+def _block_sequences():
+    """Seeded complex sequences with their block lengths; half cancel heavily."""
+    rng = random.Random(20240601)
+    for case in range(40):
+        n = rng.randint(1, 300)
+        terms = [complex(rng.uniform(-1, 1) * 10.0 ** rng.uniform(-8, 8),
+                         rng.uniform(-1, 1) * 10.0 ** rng.uniform(-8, 8))
+                 for _ in range(n)]
+        if case % 2:
+            # each large term comes back negated, so the sum is many orders
+            # of magnitude below the peak
+            terms += [-t * (1.0 + rng.uniform(-1e-12, 1e-12)) for t in terms]
+            rng.shuffle(terms)
+        yield terms, rng.randint(1, 64)
+
+
+def _exact(parts):
+    return sum(map(Fraction, parts), Fraction(0))
+
+
+def test_add_block_matches_add_loop_exactly():
+    for terms, size in _block_sequences():
+        loop, block = CancellationMeter(), CancellationMeter()
+        for start in range(0, len(terms), size):
+            chunk = terms[start:start + size]
+            for t in chunk:
+                loop.add(t)
+            block.add_block([t.real for t in chunk], [t.imag for t in chunk])
+            assert (block._sr, block._si) == (loop._sr, loop._si)
+            assert block.peak == loop.peak
+
+
+def test_add_block_is_no_less_accurate_than_add_loop():
+    for terms, size in _block_sequences():
+        loop, block = CancellationMeter(), CancellationMeter()
+        loop.sum(terms)
+        for start in range(0, len(terms), size):
+            chunk = terms[start:start + size]
+            block.add_block([t.real for t in chunk], [t.imag for t in chunk])
+        exact_re = _exact(t.real for t in terms)
+        exact_im = _exact(t.imag for t in terms)
+        assert abs(Fraction(block.value.real) - exact_re) <= abs(
+            Fraction(loop.value.real) - exact_re)
+        assert abs(Fraction(block.value.imag) - exact_im) <= abs(
+            Fraction(loop.value.imag) - exact_im)
+
+
+@pytest.mark.parametrize("re, im", [
+    ([1.0, math.inf, -math.inf], [0.0, 0.0, 0.0]),
+    ([1.0, 2.0], [math.nan, 0.0]),
+    ([1e308, 1e308, -1e308], [0.0, 0.0, 0.0]),
+])
+def test_add_block_raises_on_non_finite_sums(re, im):
+    meter = CancellationMeter()
+    with pytest.raises(SumOverflowError):
+        meter.add_block(re, im)
+
+
+def test_add_block_of_nothing_changes_nothing():
+    meter = CancellationMeter()
+    meter.add(3.0 - 4.0j)
+    before = (meter._sr, meter._si, meter._cr, meter._ci, meter.peak)
+    meter.add_block([], [])
+    assert (meter._sr, meter._si, meter._cr, meter._ci, meter.peak) == before
+
+
+def test_add_block_needs_matching_parts():
+    with pytest.raises(DomainError):
+        CancellationMeter().add_block([1.0, 2.0], [0.0])
 
 
 # ------------------------------------------------------- richardson derivative
