@@ -31,15 +31,18 @@ from .verifier import DEFAULT_SEED, SuiteReport, run_suite
 
 __all__ = ["main"]
 
-_EVAL_SIGNATURES = {
-    "phi": ("z", "s", "v"),
-    "phi-integral": ("z", "s", "v"),
-    "zeta": ("s", "a"),
-    "polylog": ("s", "z"),
-    "loggamma": ("z",),
-    "digamma": ("z",),
-    "harmonic": ("z",),
-    "stieltjes1": ("a",),
+# name -> (argument fields in call order, call(*values, policy))
+_EVAL_FUNCTIONS = {
+    "phi": (("z", "s", "v"),
+            lambda z, s, v, policy: lerch_phi(LerchParams(z, s, v), policy)),
+    "phi-integral": (("z", "s", "v"),
+                     lambda z, s, v, policy: lerch_phi_integral(LerchParams(z, s, v), policy)),
+    "zeta": (("s", "a"), hurwitz_zeta),
+    "polylog": (("s", "z"), polylog),
+    "loggamma": (("z",), lambda z, policy: log_gamma(z)),
+    "digamma": (("z",), lambda z, policy: digamma(z)),
+    "harmonic": (("z",), lambda z, policy: harmonic(z)),
+    "stieltjes1": (("a",), stieltjes_gamma1),
 }
 
 
@@ -52,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one special function")
-    pe.add_argument("function", choices=sorted(_EVAL_SIGNATURES))
+    pe.add_argument("function", choices=sorted(_EVAL_FUNCTIONS))
     for name in ("z", "s", "v", "a"):
         pe.add_argument(f"--{name}", nargs=2, type=float, metavar=("RE", "IM"))
     pe.add_argument("--tol-rel", type=float, default=1e-10)
@@ -86,42 +89,17 @@ def _policy_from(args) -> PrecisionPolicy:
 
 
 def _cmd_eval(args) -> int:
-    signature = _EVAL_SIGNATURES[args.function]
-    values = {}
-    for name in signature:
+    fields, call = _EVAL_FUNCTIONS[args.function]
+    values = []
+    for name in fields:
         raw = getattr(args, name, None)
         if raw is None:
             print(f"eval {args.function}: missing --{name} RE IM", file=sys.stderr)
             return 2
-        values[name] = complex(raw[0], raw[1])
-    policy = _policy_from(args)
-    fn = args.function
-    if fn == "phi":
-        result = lerch_phi(LerchParams(values["z"], values["s"], values["v"]), policy)
-    elif fn == "phi-integral":
-        result = lerch_phi_integral(
-            LerchParams(values["z"], values["s"], values["v"]), policy)
-    elif fn == "zeta":
-        result = hurwitz_zeta(values["s"], values["a"], policy)
-    elif fn == "polylog":
-        result = polylog(values["s"], values["z"], policy)
-    elif fn == "loggamma":
-        result = log_gamma(values["z"])
-    elif fn == "digamma":
-        result = digamma(values["z"])
-    elif fn == "harmonic":
-        result = harmonic(values["z"])
-    else:
-        result = stieltjes_gamma1(values["a"], policy)
+        values.append(complex(raw[0], raw[1]))
+    result = call(*values, _policy_from(args))
     print(f"{result.real:.17g}\t{result.imag:.17g}")
     return 0
-
-
-def _tol_override(spec_id: str, args) -> Optional[float]:
-    mode = get_identity(spec_id).compare_mode
-    if mode == "absolute":
-        return args.tol_abs
-    return args.tol_rel
 
 
 def _validate_tols(args) -> None:
@@ -141,15 +119,24 @@ def _print_suite_table(report: SuiteReport) -> None:
               f"{worst:>12} {row.mode:>10}")
 
 
-def _cmd_verify(args) -> int:
+def _run_and_write(args, ids: Optional[list]) -> SuiteReport:
+    """Run the suite over ids (all when None) with the command's tolerance
+    overrides, and write its report to --out or <command>_report.<format>."""
     _validate_tols(args)
-    spec = get_identity(args.id)
-    tol = _tol_override(spec.id, args)
-    report = run_suite(PrecisionPolicy(), tols={} if tol is None else {spec.id: tol},
-                       count=args.count, seed=args.seed, ids=[spec.id])
-    out = args.out or f"verify_report.{args.format}"
-    write_report(report, out, args.format)
-    row = report.rows[0]
+    specs = list_identities() if ids is None else [get_identity(i) for i in ids]
+    tols = {}
+    for spec in specs:
+        tol = args.tol_abs if spec.compare_mode == "absolute" else args.tol_rel
+        if tol is not None:
+            tols[spec.id] = tol
+    report = run_suite(PrecisionPolicy(), tols=tols, count=args.count,
+                       seed=args.seed, ids=ids)
+    write_report(report, args.out or f"{args.command}_report.{args.format}", args.format)
+    return report
+
+
+def _cmd_verify(args) -> int:
+    row = _run_and_write(args, [args.id]).rows[0]
     verdict = "PASS" if row.all_passed else "FAIL"
     worst = "-" if row.worst_rel_err is None else f"{row.worst_rel_err:.3e}"
     print(f"{row.identity_id} {verdict} {row.passed}/{row.points} worst_rel={worst}")
@@ -157,23 +144,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    _validate_tols(args)
     ids = None
     if args.filter:
         ids = [token.strip() for token in args.filter.split(",") if token.strip()]
-        for identity_id in ids:
-            get_identity(identity_id)
-    tols = {}
-    for spec in list_identities():
-        if ids is not None and spec.id not in ids:
-            continue
-        tol = _tol_override(spec.id, args)
-        if tol is not None:
-            tols[spec.id] = tol
-    report = run_suite(PrecisionPolicy(), tols=tols, count=args.count,
-                       seed=args.seed, ids=ids)
-    out = args.out or f"suite_report.{args.format}"
-    write_report(report, out, args.format)
+    report = _run_and_write(args, ids)
     _print_suite_table(report)
     return 0 if report.all_passed else 1
 

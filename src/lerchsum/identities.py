@@ -178,14 +178,24 @@ def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPol
     """
     terms = side_terms(side, expr, pt, policy, meter)
     if expr.kind == "sum":
-        local = CancellationMeter()
-        value = local.sum(terms)
-        meter.note(local.peak)
-        return value
+        return _noted_sum(meter, terms)
     value = 1 + 0j
     for t in terms:
         value *= t
         meter.note(abs(value))
+    return value
+
+
+def _noted_sum(meter: CancellationMeter, parts: Sequence[complex],
+               weight: float = 1.0) -> complex:
+    """Compensated sum of parts in a fresh accumulator.
+
+    Notes the sum's peak magnitude times weight into meter: the one place
+    where an inner sum's cancellation enters the conditioning estimate.
+    """
+    local = CancellationMeter()
+    value = local.sum(parts)
+    meter.note(local.peak * weight)
     return value
 
 
@@ -231,6 +241,28 @@ def _is_real(w: Optional[complex]) -> bool:
     return w is not None and complex(w).imag == 0.0
 
 
+def _dyadic_poles(fields: Sequence[str], depth: int,
+                  sin_scales: Callable[[int], Sequence[float]]):
+    """Domain check of a dyadic trigonometric entry.
+
+    The sides evaluate tan, sec and csc at 2^-p w, so each field w must keep
+    margin from the zeros of cos(2^-q w) for q = 0..n+depth and of sin(c w)
+    for every c in sin_scales(n).
+    """
+    def check(pt, margin):
+        if pt.n is None or any(getattr(pt, name) is None for name in fields):
+            return False
+        cos_scales = [2.0 ** -q for q in range(pt.n + depth + 1)]
+        sin_at = sin_scales(pt.n)
+        for name in fields:
+            w = complex(getattr(pt, name))
+            if (any(_dist_cos_zero(w, c) < margin for c in cos_scales)
+                    or any(_dist_sin_zero(w, c) < margin for c in sin_at)):
+                return False
+        return True
+    return check
+
+
 # --------------------------------------------------------------------------
 # ID-00: telescoped integrand identity
 #   sum_{p=0}^n -2^-p tan(2^-p-1 u) sec(2^-p u) = 2^-n csc(2^-n u) - 2 csc(2u)
@@ -250,17 +282,7 @@ def _id00_rhs(pt, policy, meter):
     yield -2.0 * _csc(2.0 * u)
 
 
-def _id00_constraints(pt, margin):
-    if pt.m is None or pt.n is None:
-        return False
-    u = complex(pt.m)
-    for p in range(pt.n + 1):
-        if _dist_cos_zero(u, 2.0 ** -(p + 1)) < margin:
-            return False
-        if _dist_cos_zero(u, 2.0 ** -p) < margin:
-            return False
-    return (_dist_sin_zero(u, 2.0 ** -pt.n) >= margin
-            and _dist_sin_zero(u, 2.0) >= margin)
+_TAN_SEC_POLES = _dyadic_poles(("m",), 1, lambda n: (2.0 ** -n, 2.0))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +351,7 @@ def _id01_lift(values: dict) -> dict:
 # --------------------------------------------------------------------------
 # ID-02: degenerate case
 #   sum 2^-p-1 tan(m 2^-p-1) sec(m 2^-p) = csc(2m) - 2^-n-1 csc(m 2^-n)
-# Its poles are those of ID-00, so it shares _id00_constraints.
+# Its poles are those of ID-00, so it shares _TAN_SEC_POLES.
 # --------------------------------------------------------------------------
 
 def _id02_lhs(pt, policy, meter):
@@ -369,22 +391,6 @@ def _id03_rhs(pt, policy, meter):
     m, r = complex(pt.m), complex(pt.r)
     th = 2.0 ** -(pt.n + 1)
     yield (cmath.tan(th * m) * cmath.tan(r)) / (cmath.tan(m) * cmath.tan(th * r))
-
-
-def _id03_constraints(pt, margin):
-    if pt.m is None or pt.r is None or pt.n is None:
-        return False
-    th = 2.0 ** -(pt.n + 1)
-    for w in (complex(pt.m), complex(pt.r)):
-        for p in range(pt.n + 1):
-            if _dist_cos_zero(w, 2.0 ** -p) < margin:
-                return False
-            if _dist_cos_zero(w, 2.0 ** -(p + 1)) < margin:
-                return False
-        for scale in (1.0, th):
-            if _dist_cos_zero(w, scale) < margin or _dist_sin_zero(w, scale) < margin:
-                return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -444,20 +450,6 @@ def _id05_rhs(pt, policy, meter):
     yield (cmath.tan(x) * cmath.tan(t1 * x)) / (cmath.tan(0.5 * x) * cmath.tan(t2 * x))
 
 
-def _id05_constraints(pt, margin):
-    if pt.x is None or pt.n is None:
-        return False
-    x = complex(pt.x)
-    for p in range(pt.n + 1):
-        for scale in (2.0 ** -(p + 1), 2.0 ** -(p + 2), 2.0 ** -p):
-            if _dist_cos_zero(x, scale) < margin:
-                return False
-    for scale in (1.0, 0.5, 2.0 ** -(pt.n + 2), 2.0 ** -(pt.n + 1)):
-        if _dist_cos_zero(x, scale) < margin or _dist_sin_zero(x, scale) < margin:
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # ID-06: exponential-times-cosine-ratio product
 # --------------------------------------------------------------------------
@@ -466,13 +458,12 @@ def _id06_lhs(pt, policy, meter):
     x = complex(pt.x)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
-        local = CancellationMeter()
-        combo = local.sum([cmath.cos(0.5 * tp * x), cmath.cos(1.5 * tp * x),
-                           -3.0 * cmath.cos(tp * x), 1.0 + 0j])
         csc2 = _csc(2.0 * tp * x)
         # the cosine combination collapses to O((tp*x)^2) and is then blown
         # back up by csc; record the absolute amplification of its roundoff
-        meter.note(local.peak * abs(2.0 * tp * csc2))
+        combo = _noted_sum(meter, [cmath.cos(0.5 * tp * x), cmath.cos(1.5 * tp * x),
+                                   -3.0 * cmath.cos(tp * x), 1.0 + 0j],
+                           abs(2.0 * tp * csc2))
         yield (cmath.cos(0.25 * tp * x) ** 2 * cmath.cos(tp * x) * _sec(0.5 * tp * x) ** 3
                * cmath.exp(-2.0 * tp * combo * csc2))
 
@@ -480,31 +471,10 @@ def _id06_lhs(pt, policy, meter):
 def _id06_rhs(pt, policy, meter):
     x = complex(pt.x)
     tn = 2.0 ** -pt.n
-    local = CancellationMeter()
-    expo = local.sum([tn * _csc(tn * x), -tn * _csc(0.5 * tn * x),
-                      cmath.tan(0.5 * x), -cmath.tan(x), _cot(0.5 * x), -_cot(x)])
-    meter.note(local.peak)
+    expo = _noted_sum(meter, [tn * _csc(tn * x), -tn * _csc(0.5 * tn * x),
+                              cmath.tan(0.5 * x), -cmath.tan(x), _cot(0.5 * x), -_cot(x)])
     yield (cmath.tan(0.5 * x) * _cot(x) * cmath.tan(0.5 * tn * x) * _cot(0.25 * tn * x)
            * cmath.exp(expo))
-
-
-def _id06_constraints(pt, margin):
-    if pt.x is None or pt.n is None:
-        return False
-    x = complex(pt.x)
-    for p in range(pt.n + 1):
-        for scale in (2.0 ** -(p + 2), 2.0 ** -(p + 1), 2.0 ** -p):
-            if _dist_cos_zero(x, scale) < margin:
-                return False
-        if _dist_sin_zero(x, 2.0 ** (1 - p)) < margin:
-            return False
-    for scale in (0.5, 1.0, 2.0 ** -pt.n, 2.0 ** -(pt.n + 1), 2.0 ** -(pt.n + 2)):
-        if _dist_sin_zero(x, scale) < margin:
-            return False
-    for scale in (0.5, 1.0, 2.0 ** -(pt.n + 1)):
-        if _dist_cos_zero(x, scale) < margin:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -516,16 +486,13 @@ def _id07_lhs(pt, policy, meter):
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         sp = 2.0 ** p
-        local = CancellationMeter()
-        bracket = local.sum([
+        yield tp * _noted_sum(meter, [
             2.0 * log_gamma(-_I * 0.25 * sp * la),
             -2.0 * log_gamma(-_I * 0.5 * sp * la),
             -2.0 * log_gamma(0.25 * (-_I * sp * la - 2.0)),
             2.0 * log_gamma(0.5 * (-_I * sp * la - 1.0)),
             principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
-        ])
-        meter.note(local.peak * tp)
-        yield tp * bracket
+        ], tp)
 
 
 def _id07_rhs(pt, policy, meter):
@@ -561,16 +528,13 @@ def _id08_lhs(pt, policy, meter):
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         sp = 2.0 ** p
-        local = CancellationMeter()
-        bracket = local.sum([
+        yield tp * _noted_sum(meter, [
             2.0 * log_gamma(0.25 * sp * a),
             -2.0 * log_gamma(0.5 * sp * a),
             -2.0 * log_gamma(0.25 * (sp * a - 2.0)),
             2.0 * log_gamma(0.5 * (sp * a - 1.0)),
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
-        ])
-        meter.note(local.peak * tp)
-        yield tp * bracket
+        ], tp)
 
 
 def _id08_rhs(pt, policy, meter):
@@ -594,16 +558,13 @@ def _id09_lhs(pt, policy, meter):
     a = complex(pt.a)
     for p in range(pt.n + 1):
         sp = 2.0 ** p
-        local = CancellationMeter()
-        bracket = local.sum([
+        yield _noted_sum(meter, [
             4.0 / (a * sp * (a * sp - 3.0) + 2.0),
             -digamma(0.25 * sp * a),
             2.0 * digamma(0.5 * sp * a),
             digamma(0.25 * (sp * a - 2.0)),
             -2.0 * digamma(0.5 * (sp * a - 1.0)),
         ])
-        meter.note(local.peak)
-        yield bracket
 
 
 def _id09_rhs(pt, policy, meter):
@@ -634,13 +595,6 @@ def _id10_rhs(pt, policy, meter):
     inner = (math.pi ** 0.375 * principal_pow(2.0, 2.0 - 0.5 * a)
              * principal_pow(a + 1.0 / (a - 1.0) - 3.0, 0.25) / (a - 2.0))
     yield 2.0 * principal_log(inner)
-
-
-def _id10_constraints(pt, margin):
-    if pt.a is None or not _is_real(pt.a):
-        return False
-    a = complex(pt.a).real
-    return 2.0 < a <= 8.5 and a - 2.0 >= margin and a - 1.0 >= margin
 
 
 # --------------------------------------------------------------------------
@@ -676,12 +630,8 @@ def _id11_rhs(pt, policy, meter):
 
 
 def _id11_constraints(pt, margin):
-    if pt.x is None or pt.n is None or not _is_real(pt.x):
-        return False
-    x = complex(pt.x).real
-    if not 0.0 < x < 1.0:
-        return False
-    return abs(x - 2.0 ** -pt.n) >= margin
+    return (pt.n is not None and _id12_constraints(pt, margin)
+            and abs(complex(pt.x).real - 2.0 ** -pt.n) >= margin)
 
 
 def _nielsen_prefixes(x: complex, n: int) -> Iterator[complex]:
@@ -740,8 +690,7 @@ def _id13_lhs(pt, policy, meter):
     a = complex(pt.a)
     for p in range(pt.n + 1):
         sp = 2.0 ** p
-        local = CancellationMeter()
-        bracket = local.sum([
+        yield _noted_sum(meter, [
             principal_log(_I * 2.0 ** (1 - p))
             * (harmonic(0.25 * sp * a) - harmonic(0.25 * (sp * a - 2.0))),
             2.0 * principal_log(_I * 2.0 ** -p)
@@ -751,8 +700,6 @@ def _id13_lhs(pt, policy, meter):
             -2.0 * stieltjes_gamma1(0.5 * (sp * a + 1.0), policy),
             stieltjes_gamma1(0.25 * (sp * a + 2.0), policy),
         ])
-        meter.note(local.peak)
-        yield bracket
 
 
 def _id13_rhs(pt, policy, meter):
@@ -814,43 +761,22 @@ def _id15_lhs(pt, policy, meter):
     x = complex(pt.x)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
-        local = CancellationMeter()
-        combo = local.sum([_sec(0.25 * tp * x) ** 2,
-                           -3.0 * _sec(0.5 * tp * x) ** 2,
-                           2.0 * _sec(tp * x) ** 2])
-        meter.note(local.peak * 4.0 ** (1 - p))
-        yield 4.0 ** (1 - p) * combo
+        scale = 4.0 ** (1 - p)
+        yield scale * _noted_sum(meter, [_sec(0.25 * tp * x) ** 2,
+                                         -3.0 * _sec(0.5 * tp * x) ** 2,
+                                         2.0 * _sec(tp * x) ** 2], scale)
 
 
 def _id15_rhs(pt, policy, meter):
     x = complex(pt.x)
     n = pt.n
     tn = 2.0 ** -n
-    local = CancellationMeter()
-    combo = local.sum([-_csc(0.25 * tn * x) ** 2, _csc(0.5 * tn * x) ** 2,
-                       _sec(0.25 * tn * x) ** 2, -_sec(0.5 * tn * x) ** 2])
     scale = 2.0 ** (1 - 2 * n)
-    meter.note(local.peak * scale)
-    yield scale * combo
+    yield scale * _noted_sum(meter, [-_csc(0.25 * tn * x) ** 2, _csc(0.5 * tn * x) ** 2,
+                                     _sec(0.25 * tn * x) ** 2, -_sec(0.5 * tn * x) ** 2],
+                             scale)
     yield 32.0 * _cot(x) * _csc(x)
     yield -32.0 * _cot(2.0 * x) * _csc(2.0 * x)
-
-
-def _id15_constraints(pt, margin):
-    if pt.x is None or pt.n is None:
-        return False
-    x = complex(pt.x)
-    for p in range(pt.n + 1):
-        for scale in (2.0 ** -(p + 2), 2.0 ** -(p + 1), 2.0 ** -p):
-            if _dist_cos_zero(x, scale) < margin:
-                return False
-    for scale in (2.0 ** -(pt.n + 2), 2.0 ** -(pt.n + 1)):
-        if _dist_sin_zero(x, scale) < margin or _dist_cos_zero(x, scale) < margin:
-            return False
-    for scale in (1.0, 2.0):
-        if _dist_sin_zero(x, scale) < margin:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -863,7 +789,7 @@ _REGISTRY = (
         description="telescoping tan*sec sum equals a csc difference",
         schema=("m", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id00_lhs), rhs=SideExpr("sum", _id00_rhs),
-        constraints=_id00_constraints,
+        constraints=_TAN_SEC_POLES,
         tol=1e-10,
         region={"m": ((0.2, 2.5), (-1.0, 1.0)), "n": (0, 10)},
     ),
@@ -883,7 +809,7 @@ _REGISTRY = (
         description="tan*sec telescoping sum, corrected tabulated form",
         schema=("m", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id02_lhs), rhs=SideExpr("sum", _id02_rhs),
-        constraints=_id00_constraints,
+        constraints=_TAN_SEC_POLES,
         tol=1e-10,
         region={"m": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
@@ -892,7 +818,7 @@ _REGISTRY = (
         description="cosine-ratio product equals a tangent-ratio closed form",
         schema=("m", "r", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id03_lhs), rhs=SideExpr("product", _id03_rhs),
-        constraints=_id03_constraints,
+        constraints=_dyadic_poles(("m", "r"), 1, lambda n: (1.0, 2.0 ** -(n + 1))),
         tol=1e-9,
         region={"m": ((0.2, 2.5), (0.0, 0.0)), "r": ((0.2, 2.5), (0.0, 0.0)),
                 "n": (0, 10)},
@@ -912,7 +838,8 @@ _REGISTRY = (
         description="cubic cosine-ratio product equals a tangent-ratio form",
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id05_lhs), rhs=SideExpr("product", _id05_rhs),
-        constraints=_id05_constraints,
+        constraints=_dyadic_poles(
+            ("x",), 2, lambda n: (1.0, 0.5, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
         tol=1e-9,
         region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
@@ -921,7 +848,8 @@ _REGISTRY = (
         description="cosine ratios times exponentials of csc combinations",
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("product", _id06_lhs), rhs=SideExpr("product", _id06_rhs),
-        constraints=_id06_constraints,
+        constraints=_dyadic_poles(
+            ("x",), 2, lambda n: [2.0 ** -q for q in range(-1, n + 3)]),
         tol=1e-7,
         region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
@@ -957,7 +885,7 @@ _REGISTRY = (
         description="single-parameter gamma-product closed form",
         schema=("a",), compare_mode="relative",
         lhs=SideExpr("sum", _id10_lhs), rhs=SideExpr("sum", _id10_rhs),
-        constraints=_id10_constraints,
+        constraints=_real_a_constraints(2.0, 8.5),
         tol=1e-9,
         region={"a": ((2.1, 8.0), (0.0, 0.0))},
     ),
@@ -1004,7 +932,8 @@ _REGISTRY = (
         description="exponent sums of sec^2/csc^2 products, log-space compare",
         schema=("x", "n"), compare_mode="relative",
         lhs=SideExpr("sum", _id15_lhs), rhs=SideExpr("sum", _id15_rhs),
-        constraints=_id15_constraints,
+        constraints=_dyadic_poles(
+            ("x",), 2, lambda n: (2.0, 1.0, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
         tol=1e-8,
         region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),

@@ -10,6 +10,7 @@ fields.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from datetime import datetime, timezone
 from io import StringIO
 from typing import Optional
@@ -19,7 +20,7 @@ from .verifier import SuiteReport, VerificationResult
 
 __all__ = ["report_to_obj", "dumps_json", "dumps_csv", "write_report"]
 
-_POINT_FIELDS = ("a", "m", "k", "n", "x", "r", "z", "s")
+_POINT_FIELDS = tuple(f.name for f in fields(EvalPoint))
 _VOLATILE_META = ("timestamp", "wall_time_s")
 
 

@@ -95,6 +95,34 @@ def test_constraint_violation_rejected(policy):
         evaluate_sides("ID-02", EvalPoint(m=PI / 2.0, n=0), policy)
 
 
+# Poles read off each trigonometric entry's sides: for each field w, the zeros
+# of cos(2^-q w) for q = 0..n+depth and of sin(c w) for c in sin_scales(n).
+POLE_LADDERS = {
+    "ID-00": (("m",), 1, lambda n: (2.0 ** -n, 2.0)),
+    "ID-02": (("m",), 1, lambda n: (2.0 ** -n, 2.0)),
+    "ID-03": (("m", "r"), 1, lambda n: (1.0, 2.0 ** -(n + 1))),
+    "ID-05": (("x",), 2, lambda n: (1.0, 0.5, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
+    "ID-06": (("x",), 2, lambda n: [2.0 ** -q for q in range(-1, n + 3)]),
+    "ID-15": (("x",), 2, lambda n: (2.0, 1.0, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
+}
+
+
+def test_dyadic_pole_ladders_reject_every_pole():
+    margin = 0.05
+    regular = complex(0.7, 0.5)  # |Im w| >= margin keeps w off every real pole
+    for identity_id, (names, depth, sin_scales) in POLE_LADDERS.items():
+        spec = get_identity(identity_id)
+        base = {name: regular for name in names}
+        for n in (0, 1, 4, 10):
+            assert spec.constraints(EvalPoint(n=n, **base), margin), (identity_id, n)
+            poles = ([2.0 ** q * PI / 2.0 for q in range(n + depth + 1)]
+                     + [PI / c for c in sin_scales(n)])
+            for name in names:
+                for w in poles:
+                    pt = EvalPoint(n=n, **{**base, name: complex(w)})
+                    assert not spec.constraints(pt, margin), (identity_id, n, name, w)
+
+
 def test_point_n_cap():
     with pytest.raises(DomainError):
         EvalPoint(m=1.0, n=25)
