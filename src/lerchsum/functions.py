@@ -51,7 +51,10 @@ _LOGGAMMA_BERNOULLI = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
 _DIGAMMA_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
                       -691 / 32760, 1 / 12)
 
-_INTEGRAL_MIN_RE_S = 0.05  # lerch_phi_integral's left cut grows like 1/Re(s)
+# lerch_phi_integral refuses Re(s) below this.  Its subtracted form converges
+# for Re(s) > -K, but has no accuracy table there yet; with K = 0 (z near 1)
+# the left cut still grows like 1/Re(s).
+_INTEGRAL_MIN_RE_S = 0.05
 _ASYMPTOTIC_REAL = 10.0  # shift recurrences until Re(z) reaches this line
 _MAX_RECURRENCE_LIFT = 10**5  # recurrence steps, not accuracy: refuse absurd shifts
 
@@ -142,19 +145,32 @@ def _tail_plan(z: complex, az: float, s: complex, v: complex,
                policy: PrecisionPolicy):
     """(N, K) for the head-plus-tail route, or None when the series is cheaper.
 
-    The series needs about ln(1/rel_tol) / -ln|z| terms.  The route sums N
-    head terms and then K terms of the large-shift expansion of the tail at
-    w = v + N; its k-th term is at most prod_{j<k} (|s|+j) / (|w| |1-z|)^k
-    times the leading one, because the Eulerian coefficients are nonnegative
-    and sum to k!.  For each K the smallest x = |w||1-z| that brings that
-    product under rel_tol * _TAIL_MARGIN (and keeps the next ratio under
-    _TAIL_RATIO) fixes N ~ x/|1-z|; K grows while the cost falls.
-    Only |z|, |1-z|, |s| and rel_tol enter the choice; Re v only places N.
+    The series needs about ln(1/rel_tol) / -ln|z| terms for |z| < 1.  On
+    |z| = 1 (Re s > 1) its terms shrink only through (v+k)^(-s): the
+    integral-test tail N^(1-Re s)/(Re s - 1), times the factor
+    e^(|Im s| pi/2) of _sum_series's tail test, meets rel_tol near
+    N = exp((ln(1/rel_tol) + |Im s| pi/2 - ln(Re s - 1)) / (Re s - 1)).
+    The route sums N head terms and then K terms of the large-shift
+    expansion of the tail at w = v + N; its k-th term is at most
+    prod_{j<k} (|s|+j) / (|w| |1-z|)^k times the leading one, because the
+    Eulerian coefficients are nonnegative and sum to k!.  For each K the
+    smallest x = |w||1-z| that brings that product under
+    rel_tol * _TAIL_MARGIN (and keeps the next ratio under _TAIL_RATIO)
+    fixes N ~ x/|1-z|; K grows while the cost falls.
+    Only |z|, |1-z|, |s| and rel_tol enter the choice, and on |z| = 1 also
+    Re s and Im s; Re v only places N.
     """
     if az ** _TAIL_ROWS <= policy.rel_tol:
         return None  # at most _TAIL_ROWS series terms: the tail cannot pay off
     ln_tol = -math.log(policy.rel_tol)
-    series = math.inf if az >= 1.0 else ln_tol / -math.log(az)
+    if az < 1.0:
+        series = ln_tol / -math.log(az)
+    elif s.real > 1.0:
+        p = s.real - 1.0
+        series = math.exp(min(700.0, (ln_tol + abs(s.imag) * math.pi / 2.0
+                                      - math.log(p)) / p))
+    else:
+        series = math.inf
     d = abs(1.0 - z)
     ln_tol -= math.log(_TAIL_MARGIN)
     if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
@@ -294,7 +310,7 @@ def lerch_phi(
     J. Math. Anal. Appl. 298 (2004)).  Since |Li_{-k}(z)| <= k!/|1-z|^(k+1),
     each term is at most (|s|+k)/(|w||1-z|) times the one before; the sum
     terminates at k = -s for nonpositive integer s.  _tail_plan picks N and
-    the term count K from |z|, |1-z|, |s| and rel_tol before any term is
+    the term count K from |z|, |1-z|, s and rel_tol before any term is
     summed, and takes the route only when N + K costs less than the series'
     predicted length and fits policy.max_terms.  The tail stops once the
     bound on its next term falls below rel_tol/100 * |partial sum| (the
@@ -336,14 +352,25 @@ def lerch_phi_integral(
 ) -> complex:
     """Phi via (1/Gamma(s)) * integral_0^inf t^(s-1) e^(-vt) / (1 - z e^(-t)) dt.
 
-    Valid for Re(v) > 0, Re(s) >= 0.05 and z off the cut [1, inf).  The
-    substitution t = e^u turns this into a trapezoid sum over u whose
-    integrand decays exponentially on the left and doubly exponentially on
-    the right; the mesh is halved until two successive refinements agree to
-    policy.rel_tol.  The left cut u = -(ln 1e16 + 8)/Re(s) drops a tail of
-    about e^(-45); it grows without bound as Re(s) -> 0, so smaller Re(s)
-    raises DomainError rather than lose digits (the cut for Re s = 0.05
-    leaves a 1e-4 error at Re s = 0.01).
+    Valid for Re(v) > 0, Re(s) >= 0.05 and z off the cut [1, inf).  With
+    w = 1 - e^(-t) and r = -z/(1-z) the kernel splits exactly as
+        1/(1 - z e^(-t)) = (1/(1-z)) sum_{k<K} (r w)^k + (r w)^K / ((1-z) + z w).
+    The first K terms integrate in closed form against t^(s-1) e^(-vt):
+    K = 1 gives Gamma(s) v^(-s)/(1-z), and K = 2 adds
+    Gamma(s) r (v^(-s) - (v+1)^(-s))/(1-z).  The remainder's integrand is
+    the plain one times (r w)^K with 0 <= w < 1, so K is the largest k <= 2
+    with |r|^k <= 4 (K = 2 for |r| <= 2, 1 for |r| <= 4, else 0); past
+    that, as near z = 1, the closed part and the remainder would cancel.
+
+    The substitution t = e^u turns the remainder into a trapezoid sum over u
+    whose integrand decays like e^((Re s + K) u) on the left and doubly
+    exponentially on the right.  The left cut u = -(ln 1e16 + 8)/(Re s + K)
+    drops a tail of about e^(-45).  The mesh starts at h = 1/2 and is halved
+    until two successive sums agree to policy.rel_tol times |Gamma(s) Phi|
+    (the remainder plus Gamma(s) times the closed part).  That test may pass
+    from h = 1/8 on, since the trapezoid converges geometrically for an
+    analytic integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Raises
+    ConvergenceError after 14 halvings.
     """
     z, s, v = complex(params.z), complex(params.s), complex(params.v)
     if v.real <= 0:
@@ -354,13 +381,26 @@ def lerch_phi_integral(
     if z.imag == 0.0 and z.real >= 1.0:
         raise DomainError(f"integral route excludes z on [1, inf), got z={z!r}")
 
+    one_minus = 1.0 - z
+    r = -z / one_minus
+    k_closed = 2 if abs(r) <= 2.0 else 1 if abs(r) <= 4.0 else 0
+    closed = 0j
+    if k_closed:
+        v_pow = principal_pow(v, -s)
+        closed = v_pow
+        if k_closed == 2:
+            closed += r * (v_pow - principal_pow(v + 1.0, -s))
+        closed /= one_minus
+    cexp, expm1 = cmath.exp, math.expm1
+
     def integrand(u: float) -> complex:
         t = math.exp(u)
         if t > 700.0:
             return 0j
-        return cmath.exp(s * u - v * t) / (1.0 - z * cmath.exp(-t))
+        w = -expm1(-t)
+        return cexp(s * u - v * t) * (r * w) ** k_closed / (one_minus + z * w)
 
-    left = (math.log(1e16) + 8.0) / s.real
+    left = (math.log(1e16) + 8.0) / (s.real + k_closed)
     right = math.log((40.0 + 5.0 * abs(s)) / v.real) + 2.0
     h = 0.5
     count = int(math.ceil((left + right) / h))
@@ -369,15 +409,17 @@ def lerch_phi_integral(
     total -= 0.5 * (integrand(nodes[0]) + integrand(nodes[-1]))
     span = nodes[-1] + left
     previous = total * h
+    gamma_s = _gamma(s)
+    whole = gamma_s * closed
     for level in range(14):
         h *= 0.5
         mids = int(round(span / (2.0 * h)))
         total += sum(integrand(-left + (2 * i + 1) * h) for i in range(mids))
         current = total * h
-        if level >= 2 and abs(current - previous) <= policy.rel_tol * max(
-            abs(current), policy.abs_tol
+        if level >= 1 and abs(current - previous) <= policy.rel_tol * max(
+            abs(current + whole), policy.abs_tol
         ):
-            return current / _gamma(s)
+            return closed + current / gamma_s
         previous = current
     raise ConvergenceError("Phi integral quadrature did not converge in 14 refinements")
 

@@ -93,6 +93,33 @@ def test_phi_on_circle_needs_large_s(policy):
         lerch_phi(LerchParams(cmath.exp(0.01j), 2.0, 1.0), PrecisionPolicy(max_terms=1000))
 
 
+def _bernoulli_poly(n, x):
+    """B_n(x) in exact rational arithmetic, from B_m = -sum_{k<m} C(m+1, k) B_k/(m+1)."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return sum(math.comb(n, k) * b[k] * x ** (n - k) for k in range(n + 1))
+
+
+def test_phi_series_priced_on_unit_circle(policy):
+    # on |z| = 1 the series converges through (v+k)^(-s) alone; at large Re s
+    # that takes a few dozen terms, so it beats a head of thousands
+    theta = 0.01
+    z = cmath.exp(1j * theta)
+    x = Fraction(theta / (2.0 * PI))
+    for n in (3, 6):
+        s = complex(2 * n)
+        assert _tail_plan(z, abs(z), s, 1.0 + 0j, policy) is None
+        # Re Li_2n(e^(i theta)) = sum cos(k theta)/k^2n (DLMF 24.8.1)
+        exact = ((-1) ** (n + 1) * (2.0 * PI) ** (2 * n)
+                 * float(_bernoulli_poly(2 * n, x)) / (2.0 * math.factorial(2 * n)))
+        value = (z * lerch_phi(LerchParams(z, s, 1.0), policy)).real
+        assert abs(value - exact) <= 1e-10 * abs(exact)
+    # the series' tail test carries a factor e^(|Im s| pi/2), so at s = 4+3i
+    # the series costs more than the head-plus-tail route
+    assert _tail_plan(z, abs(z), 4.0 + 3.0j, 1.0 + 0j, policy) is not None
+
+
 def test_phi_max_terms_exhaustion():
     tight = PrecisionPolicy(max_terms=50)
     with pytest.raises(ConvergenceError):
@@ -278,7 +305,8 @@ def test_integral_domain_errors(policy):
 
 
 def test_integral_re_s_range(policy):
-    # the left cut grows like 1/Re(s): below 0.05 the route refuses
+    # below Re(s) = 0.05 the route refuses: it has no accuracy table there,
+    # and near z = 1 (no closed-form terms) its left cut grows like 1/Re(s)
     with pytest.raises(DomainError):
         lerch_phi_integral(LerchParams(0.5, 0.01, 1.0), policy)
     for z, s, v in ((0.5 + 0.3j, 0.05 + 0.4j, 1.3), (-0.8 + 0.3j, 0.05, 0.7),
@@ -302,6 +330,96 @@ def test_series_integral_agreement_100_points(policy):
         series = lerch_phi(LerchParams(z, s, v), policy)
         integral = lerch_phi_integral(LerchParams(z, s, v), policy)
         assert abs(series - integral) <= budget(series)
+
+
+def test_integral_at_z_zero_is_the_closed_part(policy):
+    # at z = 0 the remainder integrand vanishes and only v^(-s) is left
+    for s, v in ((0.3 + 2.0j, 1.7 - 0.4j), (2.5 - 1.0j, 0.2 + 0.9j), (6.0 + 5.0j, 4.0 + 2.5j)):
+        value = lerch_phi_integral(LerchParams(0.0, s, v), policy)
+        expected = principal_pow(v, -s)
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+
+
+def _assert_integral_matches_series(params, policy):
+    meter = CancellationMeter()
+    series = lerch_phi(params, policy, meter)
+    cond = max(1.0, meter.peak / abs(series))
+    quad = lerch_phi_integral(params, policy)
+    assert abs(series - quad) <= 1e-9 * cond * abs(series)
+
+
+def _closed_terms(z):
+    """How many terms of 1/(1 - z e^(-t)) the integral route takes in closed
+    form: 2 for |r| <= 2, 1 for |r| <= 4, else 0, with r = -z/(1-z)."""
+    r = abs(z / (1.0 - z))
+    return 2 if r <= 2.0 else 1 if r <= 4.0 else 0
+
+
+def test_integral_agrees_with_series_at_small_re_s(policy):
+    # 20 points for each count of closed-form terms; z on the positive real
+    # axis close to 1 is the case where the closed part would cancel
+    rng = seeded(20240605)
+    wanted = {0: 20, 1: 20, 2: 20}
+    real_near_one = 0
+    while any(wanted.values()):
+        if real_near_one < 6:
+            z = complex(rng.uniform(0.9, 0.99))
+            real_near_one += 1
+        else:
+            z = 1.0 - cmath.rect(math.exp(rng.uniform(math.log(0.01), math.log(2.0))),
+                                 rng.uniform(-PI, PI))
+            if abs(z) > 0.99:
+                continue
+        k = _closed_terms(z)
+        if not wanted[k]:
+            continue
+        wanted[k] -= 1
+        s = random_complex(rng, (0.05, 0.3), (-2.0, 2.0))
+        v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
+        _assert_integral_matches_series(LerchParams(z, s, v), policy)
+
+
+def test_integral_keeps_full_accuracy_next_to_z_one():
+    # Phi(z, 1, 1) = -log(1-z)/z and Phi(z, 1, 2) = (Phi(z, 1, 1) - 1)/z.  Two
+    # closed-form terms at z = 0.999 would cancel to ~2e-11 here (|r| = 999)
+    tight = PrecisionPolicy(rel_tol=1e-13)
+    for z in (0.999, cmath.rect(0.999, -0.01), 0.99, 0.9, -0.9, 0.3 + 0.4j):
+        first = -cmath.log(1.0 - z) / z
+        for v, exact in ((1.0, first), (2.0, (first - 1.0) / z)):
+            value = lerch_phi_integral(LerchParams(z, 1.0, v), tight)
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+def test_integral_stops_by_an_eighth_step(policy, monkeypatch):
+    # the integrand takes one math.exp per node; these points need 131-295
+    # nodes (the plain kernel with its left cut at Re(s) and a stop no
+    # earlier than h = 1/16 needed 355-1523)
+    class CountingMath:
+        nodes = 0
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            CountingMath.nodes += 1
+            return math.exp(x)
+
+    monkeypatch.setattr("lerchsum.functions.math", CountingMath())
+    for z, s, v in ((0.5 + 0.3j, 1.5 + 0.5j, 1.2), (-0.7 + 0.2j, 2.5 - 1.0j, 0.6 + 0.3j),
+                    (0.85 - 0.2j, 0.8 + 2.0j, 3.0), (0.95, 1.5, 0.7), (0.1j, 0.5 + 1.0j, 2.0),
+                    (0.2, 3.0, 0.5)):
+        CountingMath.nodes = 0
+        lerch_phi_integral(LerchParams(z, s, v), policy)
+        assert CountingMath.nodes <= 300
+
+
+def test_integral_agrees_with_series_at_large_im_s(policy):
+    rng = seeded(20240606)
+    for _ in range(30):
+        z = cmath.rect(rng.uniform(0.0, 0.9), rng.uniform(-PI, PI))
+        s = random_complex(rng, (0.05, 4.0), (-6.0, 6.0))
+        v = random_complex(rng, (0.2, 5.0), (-1.0, 1.0))
+        _assert_integral_matches_series(LerchParams(z, s, v), policy)
 
 
 # --------------------------------------------------------------- hurwitz_zeta
