@@ -9,9 +9,11 @@ the checkout that holds this script), on three things:
   time of those calls, fastest of five passes;
 * accuracy: relative error against mpmath's `lerchphi` at 30 digits (every
   10th point also at 45 digits, to bound the reference's own error) over
-  the eval-mix integral calls, 150 rim points and 750 wide points.  A point
-  where a route raises ConvergenceError is listed with the other route's
-  error;
+  the eval-mix integral calls, 150 rim points and 750 wide points, and a
+  second rim and wide set drawn from other seeds (`*_confirm`) to confirm
+  choices made while looking at the first.  A point where a route raises
+  ConvergenceError is listed with the other route's error, and so is every
+  value off by more than the default rel_tol;
 * the benchmark: `bench/run.py` pairs of eval-mix and registry-phi-free,
   one seed per pair (301, 302, ...), the side that runs first alternating
   from pair to pair, each run in a fresh interpreter that writes no
@@ -46,6 +48,7 @@ WORKLOADS = ("eval-mix", "registry-phi-free")
 FIRST_BENCH_SEED = 301
 METRICS = ("setup_s", "wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb")
 REF_DPS, CHECK_DPS = 30, 45
+REL_TOL = 1e-10  # PrecisionPolicy's default
 
 
 def _rect(rng: random.Random, lo: float, hi: float) -> complex:
@@ -56,17 +59,17 @@ def _cx(rng: random.Random, re: tuple, im: tuple) -> complex:
     return complex(rng.uniform(*re), rng.uniform(*im))
 
 
-def rim_points() -> list:
+def rim_points(key: str = "BENCH_8:rim") -> list:
     """150 points, |z| in [0.99, 0.9995], Re s in [0.05, 4], |Im s| <= 2."""
-    rng = random.Random("BENCH_8:rim")
+    rng = random.Random(key)
     return [(_rect(rng, 0.99, 0.9995), _cx(rng, (0.05, 4.0), (-2.0, 2.0)),
              _cx(rng, (0.4, 5.0), (-1.0, 1.0))) for _ in range(150)]
 
 
-def wide_points() -> list:
+def wide_points(key: str = "BENCH_8:wide") -> list:
     """750 points, |z| < 0.999, Re s in [0.05, 8], |Im s| <= 10,
     Re v in [0.05, 6], |Im v| <= 3."""
-    rng = random.Random("BENCH_8:wide")
+    rng = random.Random(key)
     return [(_rect(rng, 0.0, 0.999), _cx(rng, (0.05, 8.0), (-10.0, 10.0)),
              _cx(rng, (0.05, 6.0), (-3.0, 3.0))) for _ in range(750)]
 
@@ -107,6 +110,12 @@ def _child(root: Path, task: str) -> dict:
                 passes.append(time.perf_counter() - start)
             out[str(seed)] = {"calls": len(params), "nodes": counts,
                               "time_s": min(passes)}
+            # how many calls take each count of closed-form kernel terms
+            rule = getattr(lerchsum.functions, "closed_kernel_terms", None)
+            if rule is not None:
+                terms = [rule(complex(p.z)) for p in params]
+                out[str(seed)]["calls_per_K"] = {str(k): terms.count(k)
+                                                 for k in sorted(set(terms))}
         return out
 
     if task == "points":
@@ -115,6 +124,8 @@ def _child(root: Path, task: str) -> dict:
                 for seed in NODE_SEEDS}
         sets["rim"] = rim_points()
         sets["wide"] = wide_points()
+        sets["rim_confirm"] = rim_points("BENCH_8:rim-confirm")
+        sets["wide_confirm"] = wide_points("BENCH_8:wide-confirm")
         out = {}
         for name, points in sets.items():
             rows = []
@@ -158,6 +169,9 @@ def node_record(parent: Path, change: Path) -> dict:
                               "nodes": _summary(data[key]["nodes"]),
                               "time_s_fastest_of_5": round(data[key]["time_s"], 5)}
                        for side, data in sides.items()}
+        for side, data in sides.items():
+            if "calls_per_K" in data[key]:
+                record[key][side]["calls_per_K"] = data[key]["calls_per_K"]
     return record
 
 
@@ -201,14 +215,19 @@ def accuracy_record(parent: Path, change: Path) -> dict:
                     errors[side].append(None)
                 else:
                     errors[side].append(abs(complex(*row[3]) - ref) / abs(ref))
-        over, failures = [], []
+        over, failures, off = [], [], []
         for i, (p_err, c_err) in enumerate(zip(errors["parent"], errors["change"])):
             z, s, v = (complex(*x) for x in points[i])
-            where = {"z": str(z), "s": str(s), "v": str(v)}
+            row = {"z": str(z), "s": str(s), "v": str(v),
+                   "parent_rel_err": p_err, "change_rel_err": c_err}
             if p_err is None or c_err is None:
-                failures.append({**where, "parent_rel_err": p_err, "change_rel_err": c_err})
+                failures.append(row)
             elif c_err > max(10.0 * p_err, 1e-12):
-                over.append({**where, "parent_rel_err": p_err, "change_rel_err": c_err})
+                over.append(row)
+            if any(e is not None and e > REL_TOL for e in (p_err, c_err)):
+                off.append(row)
+        new_errors = [row for row in failures
+                      if row["change_rel_err"] is None and row["parent_rel_err"] is not None]
         gaps = [g for _, g in refs if g is not None]
         record[name] = {
             "points": len(points),
@@ -216,6 +235,11 @@ def accuracy_record(parent: Path, change: Path) -> dict:
             "convergence_errors": {side: errs.count(None) for side, errs in errors.items()},
             "points_where_either_raises": failures,
             "points_over_max_10x_parent_1e-12": over,
+            "points_either_returns_off_by_over_rel_tol": off,
+            "new_convergence_errors": {
+                "parent_within_rel_tol": sum(r["parent_rel_err"] <= REL_TOL for r in new_errors),
+                "parent_off_by_over_rel_tol": sum(r["parent_rel_err"] > REL_TOL
+                                                  for r in new_errors)},
             "reference_gap_max": max(gaps),
         }
     return record
@@ -281,7 +305,9 @@ def main() -> int:
     record = {
         "what": "lerch_phi_integral integrates the first K terms of "
                 "1/(1 - z e^(-t)) in closed form and sums only the remainder "
-                "by the trapezoid rule; the stopping test may pass one halving earlier",
+                "by the trapezoid rule; the stopping test may pass one halving "
+                "earlier, and a rounding floor turns deep cancellation into "
+                "ConvergenceError",
         "hardware": f"{os.cpu_count()}-core machine, Python {sys.version.split()[0]}",
         "command": "python3 scripts/bench_phi_integral.py --parent DIR "
                    f"--pairs {args.pairs} --seconds {args.seconds:g}",

@@ -22,6 +22,7 @@ from .numerics import (
     DomainError,
     PoleError,
     PrecisionPolicy,
+    _EPS,
     principal_log,
     principal_pow,
 )
@@ -346,6 +347,16 @@ def _gamma(z: complex) -> complex:
     return cmath.exp(log_gamma(z))
 
 
+def closed_kernel_terms(z: complex) -> int:
+    """How many terms K of 1/(1 - z e^(-t)) lerch_phi_integral integrates in
+    closed form: 2 where |r| = |z/(1-z)| <= 2, otherwise 0.
+
+    Past |r| = 2 the closed part grows like |r|^2 against Phi, so near z = 1
+    it would cancel against the remainder; there the plain kernel is summed.
+    """
+    return 2 if abs(z) <= 2.0 * abs(1.0 - z) else 0
+
+
 def lerch_phi_integral(
     params: LerchParams,
     policy: PrecisionPolicy = PrecisionPolicy(),
@@ -355,12 +366,10 @@ def lerch_phi_integral(
     Valid for Re(v) > 0, Re(s) >= 0.05 and z off the cut [1, inf).  With
     w = 1 - e^(-t) and r = -z/(1-z) the kernel splits exactly as
         1/(1 - z e^(-t)) = (1/(1-z)) sum_{k<K} (r w)^k + (r w)^K / ((1-z) + z w).
-    The first K terms integrate in closed form against t^(s-1) e^(-vt):
-    K = 1 gives Gamma(s) v^(-s)/(1-z), and K = 2 adds
-    Gamma(s) r (v^(-s) - (v+1)^(-s))/(1-z).  The remainder's integrand is
-    the plain one times (r w)^K with 0 <= w < 1, so K is the largest k <= 2
-    with |r|^k <= 4 (K = 2 for |r| <= 2, 1 for |r| <= 4, else 0); past
-    that, as near z = 1, the closed part and the remainder would cancel.
+    The first K terms integrate in closed form against t^(s-1) e^(-vt) to
+    Gamma(s) (v^(-s) + r (v^(-s) - (v+1)^(-s)))/(1-z) for K = 2.  K is 2
+    where |r| <= 2 and 0 otherwise (closed_kernel_terms): near z = 1 the
+    closed part and the remainder would cancel.
 
     The substitution t = e^u turns the remainder into a trapezoid sum over u
     whose integrand decays like e^((Re s + K) u) on the left and doubly
@@ -369,8 +378,14 @@ def lerch_phi_integral(
     until two successive sums agree to policy.rel_tol times |Gamma(s) Phi|
     (the remainder plus Gamma(s) times the closed part).  That test may pass
     from h = 1/8 on, since the trapezoid converges geometrically for an
-    analytic integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Raises
-    ConvergenceError after 14 halvings.
+    analytic integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
+
+    Raises ConvergenceError after 14 halvings, and also when the sums agree
+    but their rounding floor, eps times the integral of |f| (read off the
+    first mesh), exceeds the same tolerance: the integrand then cancels too
+    deeply (as at large |Im s|, where |Gamma(s)| is tiny) for any agreement
+    to certify rel_tol.  It also covers cancellation against Gamma(s) times
+    the closed part, whose size is at most |remainder| + |Gamma(s) Phi|.
     """
     z, s, v = complex(params.z), complex(params.s), complex(params.v)
     if v.real <= 0:
@@ -383,14 +398,11 @@ def lerch_phi_integral(
 
     one_minus = 1.0 - z
     r = -z / one_minus
-    k_closed = 2 if abs(r) <= 2.0 else 1 if abs(r) <= 4.0 else 0
+    k_closed = closed_kernel_terms(z)
     closed = 0j
     if k_closed:
         v_pow = principal_pow(v, -s)
-        closed = v_pow
-        if k_closed == 2:
-            closed += r * (v_pow - principal_pow(v + 1.0, -s))
-        closed /= one_minus
+        closed = (v_pow + r * (v_pow - principal_pow(v + 1.0, -s))) / one_minus
     cexp, expm1 = cmath.exp, math.expm1
 
     def integrand(u: float) -> complex:
@@ -404,21 +416,24 @@ def lerch_phi_integral(
     right = math.log((40.0 + 5.0 * abs(s)) / v.real) + 2.0
     h = 0.5
     count = int(math.ceil((left + right) / h))
-    nodes = [-left + i * h for i in range(count + 1)]
-    total = sum(integrand(u) for u in nodes)
-    total -= 0.5 * (integrand(nodes[0]) + integrand(nodes[-1]))
-    span = nodes[-1] + left
+    values = [integrand(-left + i * h) for i in range(count + 1)]
+    total = sum(values) - 0.5 * (values[0] + values[-1])
+    span = count * h
     previous = total * h
     gamma_s = _gamma(s)
     whole = gamma_s * closed
+    # |f| is smooth and positive, so the first mesh already gives its integral
+    floor = _EPS * h * sum(map(abs, values))
     for level in range(14):
         h *= 0.5
         mids = int(round(span / (2.0 * h)))
         total += sum(integrand(-left + (2 * i + 1) * h) for i in range(mids))
         current = total * h
-        if level >= 1 and abs(current - previous) <= policy.rel_tol * max(
-            abs(current + whole), policy.abs_tol
-        ):
+        target = policy.rel_tol * max(abs(current + whole), policy.abs_tol)
+        if level >= 1 and abs(current - previous) <= target:
+            if floor > target:
+                raise ConvergenceError(
+                    "Phi integral cancels below rel_tol: its rounding floor exceeds the tolerance")
             return closed + current / gamma_s
         previous = current
     raise ConvergenceError("Phi integral quadrature did not converge in 14 refinements")

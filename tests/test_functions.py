@@ -24,7 +24,7 @@ from lerchsum import (
     stieltjes_gamma1,
 )
 from lerchsum import functions
-from lerchsum.functions import _eulerian, _tail_plan
+from lerchsum.functions import _eulerian, _tail_plan, closed_kernel_terms
 from lerchsum.numerics import CancellationMeter
 from lerchsum.oracle import phi_series_bruteforce
 from helpers import (
@@ -348,20 +348,15 @@ def _assert_integral_matches_series(params, policy):
     assert abs(series - quad) <= 1e-9 * cond * abs(series)
 
 
-def _closed_terms(z):
-    """How many terms of 1/(1 - z e^(-t)) the integral route takes in closed
-    form: 2 for |r| <= 2, 1 for |r| <= 4, else 0, with r = -z/(1-z)."""
-    r = abs(z / (1.0 - z))
-    return 2 if r <= 2.0 else 1 if r <= 4.0 else 0
-
-
 def test_integral_agrees_with_series_at_small_re_s(policy):
-    # 20 points for each count of closed-form terms; z on the positive real
+    # 30 points for each count of closed-form terms; z on the positive real
     # axis close to 1 is the case where the closed part would cancel
     rng = seeded(20240605)
-    wanted = {0: 20, 1: 20, 2: 20}
-    real_near_one = 0
+    wanted = {0: 30, 2: 30}
+    real_near_one = draws = 0
     while any(wanted.values()):
+        draws += 1
+        assert draws <= 1000, f"the draw never met the quotas left: {wanted}"
         if real_near_one < 6:
             z = complex(rng.uniform(0.9, 0.99))
             real_near_one += 1
@@ -370,13 +365,40 @@ def test_integral_agrees_with_series_at_small_re_s(policy):
                                  rng.uniform(-PI, PI))
             if abs(z) > 0.99:
                 continue
-        k = _closed_terms(z)
+        k = closed_kernel_terms(z)
         if not wanted[k]:
             continue
         wanted[k] -= 1
         s = random_complex(rng, (0.05, 0.3), (-2.0, 2.0))
         v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
         _assert_integral_matches_series(LerchParams(z, s, v), policy)
+
+
+def test_integral_takes_no_closed_terms_past_r_two(policy):
+    # at 2 < |z/(1-z)| <= 6 two closed-form terms would leave 1.1e-12 to
+    # 2.8e-12 here, against <= 7.3e-14 with none (30-digit lerchphi); the
+    # series route is good to ~1e-15 at these points (cond ~ 1)
+    for z, s, v in ((0.7326871933514697 - 0.14153226778319383j,
+                     5.697892415268593 + 5.702387593637198j,
+                     0.3039904766174303 + 2.383834550196564j),
+                    (0.830217852984482 + 0.0394990979169091j,
+                     6.889303742418369 - 3.213886463243825j,
+                     2.666103983300658 + 2.714804329609617j),
+                    (0.844064594170269 - 0.07167111839109652j,
+                     6.800160703402529 - 1.7426064365448584j,
+                     1.9038869563927558 + 2.465027607152396j),
+                    (0.8497463913854586 - 0.015763163259372406j,
+                     3.763465894811565 - 5.455343281851369j,
+                     2.64934842939246 + 1.4684859927283025j),
+                    (0.884158700121889 + 0.12186924215597948j,
+                     6.579651786213643 - 4.089217942687572j,
+                     2.955788248396365 + 2.2523500614207617j)):
+        params = LerchParams(z, s, v)
+        assert closed_kernel_terms(z) == 0
+        meter = CancellationMeter()
+        series = lerch_phi(params, policy, meter)
+        cond = max(1.0, meter.peak / abs(series))
+        assert abs(lerch_phi_integral(params, policy) - series) <= 4e-13 * cond * abs(series)
 
 
 def test_integral_keeps_full_accuracy_next_to_z_one():
@@ -391,7 +413,7 @@ def test_integral_keeps_full_accuracy_next_to_z_one():
 
 
 def test_integral_stops_by_an_eighth_step(policy, monkeypatch):
-    # the integrand takes one math.exp per node; these points need 131-295
+    # the integrand takes one math.exp per node; these points need 129-293
     # nodes (the plain kernel with its left cut at Re(s) and a stop no
     # earlier than h = 1/16 needed 355-1523)
     class CountingMath:
@@ -406,11 +428,26 @@ def test_integral_stops_by_an_eighth_step(policy, monkeypatch):
 
     monkeypatch.setattr("lerchsum.functions.math", CountingMath())
     for z, s, v in ((0.5 + 0.3j, 1.5 + 0.5j, 1.2), (-0.7 + 0.2j, 2.5 - 1.0j, 0.6 + 0.3j),
-                    (0.85 - 0.2j, 0.8 + 2.0j, 3.0), (0.95, 1.5, 0.7), (0.1j, 0.5 + 1.0j, 2.0),
+                    (0.6 - 0.2j, 0.8 + 2.0j, 3.0), (0.95, 1.5, 0.7), (0.1j, 0.5 + 1.0j, 2.0),
                     (0.2, 3.0, 0.5)):
         CountingMath.nodes = 0
         lerch_phi_integral(LerchParams(z, s, v), policy)
         assert CountingMath.nodes <= 300
+
+
+def test_integral_refuses_below_its_rounding_floor(policy):
+    # |Gamma(s)| ~ e^(-pi |Im s|/2) is tiny at |Im s| = 9.2, so the trapezoid
+    # sum cancels by ~3e7 (h sum |f| against |Gamma(s) Phi|) and rounding
+    # alone leaves ~7e-9; two noisy sums that happen to agree certify nothing
+    params = LerchParams(-0.33951517531886893 - 0.2740987094885808j,
+                         4.4031711155306805 + 9.242429370866382j,
+                         1.0285683455778425 - 2.18331497791406j)
+    with pytest.raises(ConvergenceError, match="rounding floor"):
+        lerch_phi_integral(params, policy)
+    # a looser tolerance sits above the floor, and the value is then good to it
+    loose = PrecisionPolicy(rel_tol=1e-6)
+    series = lerch_phi(params, policy)
+    assert abs(lerch_phi_integral(params, loose) - series) <= 1e-6 * abs(series)
 
 
 def test_integral_agrees_with_series_at_large_im_s(policy):
