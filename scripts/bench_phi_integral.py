@@ -257,7 +257,10 @@ def _bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {m: result["metrics"][m]["value"] for m in METRICS}}
 
 
-def bench_record(parent: Path, change: Path, pairs: int, seconds: float) -> dict:
+def bench_record(parent: Path, change: Path, pairs: int, seconds: float,
+                 first_seed: int = FIRST_BENCH_SEED) -> dict:
+    """Alternating `bench/run.py` pairs of each workload at seeds first_seed,
+    first_seed + 1, ...; the side that runs first alternates."""
     record = {}
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
@@ -265,7 +268,7 @@ def bench_record(parent: Path, change: Path, pairs: int, seconds: float) -> dict
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(_bench_run(parent if side == "parent" else change,
-                                             workload, FIRST_BENCH_SEED + i, seconds))
+                                             workload, first_seed + i, seconds))
         medians = {side: {m: statistics.median(r["metrics"][m] for r in rs)
                           for m in METRICS} for side, rs in runs.items()}
         quartiles = {side: {m: statistics.quantiles([r["metrics"][m] for r in rs], n=4,

@@ -18,11 +18,13 @@ from typing import Optional
 
 from .numerics import (
     CancellationMeter,
+    CompensatedSum,
     ConvergenceError,
     DomainError,
     PoleError,
     PrecisionPolicy,
     _EPS,
+    compensated_sum,
     principal_log,
     principal_pow,
 )
@@ -200,7 +202,7 @@ def _tail_plan(z: complex, az: float, s: complex, v: complex,
     return head, k
 
 
-def _add_tail(acc: CancellationMeter, zpow: complex, z: complex, s: complex,
+def _add_tail(acc: CompensatedSum, zpow: complex, z: complex, s: complex,
               w: complex, terms: int, policy: PrecisionPolicy) -> bool:
     """Add z^N Phi(z, s, w) = z^N sum_k C(-s, k) w^(-s-k) Li_{-k}(z) to acc.
 
@@ -235,10 +237,10 @@ def _add_tail(acc: CancellationMeter, zpow: complex, z: complex, s: complex,
     return False
 
 
-_BLOCK = 32  # series terms summed per CancellationMeter.add_block call
+_BLOCK = 32  # series terms summed per add_block call
 
 
-def _sum_series(acc: CancellationMeter, z: complex, az: float, s: complex,
+def _sum_series(acc: CompensatedSum, z: complex, az: float, s: complex,
                 v: complex, policy: PrecisionPolicy, head: Optional[int]) -> complex:
     """Feed the series terms into acc in blocks of up to _BLOCK: the first
     `head` terms, or (head None) until the tail bound of lerch_phi's docstring
@@ -319,8 +321,10 @@ def lerch_phi(
     accurate as the series).  If its terms stop shrinking first, which
     happens only near a zero of Phi, the series runs instead.
 
-    Head and tail share one CancellationMeter, whose peak is noted into
-    `meter`.  Raises ConvergenceError if policy.max_terms is exhausted.
+    Head and tail share one accumulator: a CancellationMeter, whose peak is
+    noted into `meter`, when a meter is given, and otherwise a
+    CompensatedSum, which gives the same value bit for bit without tracking
+    the peak.  Raises ConvergenceError if policy.max_terms is exhausted.
     """
     params.validate_series()
     z, s, v = complex(params.z), complex(params.s), complex(params.v)
@@ -328,15 +332,16 @@ def lerch_phi(
         return principal_pow(v, -s)
 
     az = abs(z)
+    accumulator = CompensatedSum if meter is None else CancellationMeter
     plan = _tail_plan(z, az, s, v, policy)
     if plan is not None:
-        acc = CancellationMeter()
+        acc = accumulator()
         zpow = _sum_series(acc, z, az, s, v, policy, plan[0])
         if _add_tail(acc, zpow, z, s, v + plan[0], plan[1], policy):
             if meter is not None:
                 meter.note(acc.peak)
             return acc.value
-    acc = CancellationMeter()
+    acc = accumulator()
     _sum_series(acc, z, az, s, v, policy, None)
     if meter is not None:
         meter.note(acc.peak)
@@ -448,9 +453,14 @@ def hurwitz_zeta(
 
     The split point is N = max(10, ceil|s| + 10 - floor(Re a)); arguments with
     Re(a) <= 0 are first lifted by the forward recurrence
-    zeta(s, a) = a^(-s) + zeta(s, a+1).  Accuracy is ~rel_tol for |s - 1| >= 0.1
-    and moderate Re(s); strongly negative Re(s) loses digits to the inherent
-    cancellation between the direct sum and the tail corrections.
+    zeta(s, a) = a^(-s) + zeta(s, a+1).  The direct sum and the corrections
+    are added as one compensated block.  `policy` is ignored: the cut is
+    fixed and there is no remainder estimate, so nothing is raised when
+    digits are lost.  Measured against mpmath (60 points per band,
+    |Im s| <= 20, Re a in [0.1, 5], |Im a| <= 3), the worst error relative
+    to max(1, |zeta|) is 9.2e-12 for Re s in (-1, 3), 2.4e-7 for
+    Re s in (-4, -1), 0.29 for Re s in (-8, -4) and 7.4e5 for
+    Re s in (-15, -8).
     """
     s, a = complex(s), complex(a)
     if s == 1 or abs(s - 1.0) < 1e-14:
@@ -465,21 +475,19 @@ def hurwitz_zeta(
         a += 1
 
     split = max(10, math.ceil(abs(s)) + 10 - math.floor(a.real))
-    acc = CancellationMeter()
-    acc.add(shifted)
-    for n in range(split):
-        acc.add(cmath.exp(-s * principal_log(a + n)))
+    terms = [shifted]
+    terms += [cmath.exp(-s * principal_log(a + n)) for n in range(split)]
     w = a + split
-    acc.add(principal_pow(w, 1 - s) / (s - 1))
-    acc.add(0.5 * principal_pow(w, -s))
+    terms.append(principal_pow(w, 1 - s) / (s - 1))
+    terms.append(0.5 * principal_pow(w, -s))
     rising = s
     w2 = w * w
     wpow = principal_pow(w, -s - 1)
     for k, coeff in enumerate(_ZETA_BERNOULLI, start=1):
-        acc.add(coeff * rising * wpow)
+        terms.append(coeff * rising * wpow)
         rising *= (s + (2 * k - 1)) * (s + 2 * k)
         wpow /= w2
-    return acc.value
+    return compensated_sum(terms)
 
 
 def polylog(
@@ -631,17 +639,14 @@ def stieltjes_gamma1(
             f"at a={a!r}"
         )
 
-    acc = CancellationMeter()
-    for k in range(n):
-        x = a + k
-        acc.add(principal_log(x) / x)
+    terms = [principal_log(x) / x for x in (a + k for k in range(n))]
     w = a + n
     log_w = principal_log(w)
-    acc.add(-0.5 * log_w * log_w)
-    acc.add(0.5 * log_w / w)
+    terms.append(-0.5 * log_w * log_w)
+    terms.append(0.5 * log_w / w)
     inv2 = 1.0 / (w * w)
     wpow = inv2
     for coeff, h in zip(_DIGAMMA_BERNOULLI, _ODD_HARMONIC):
-        acc.add(coeff * (log_w - h) * wpow)
+        terms.append(coeff * (log_w - h) * wpow)
         wpow *= inv2
-    return acc.value
+    return compensated_sum(terms)

@@ -1,10 +1,16 @@
 """Double-precision complex building blocks.
 
 Everything downstream is built on four primitives: principal-branch log and
-power, compensated summation with cancellation tracking (Neumaier steps for
-single terms, exact ``math.fsum`` compensation for blocks of terms), and
-Richardson-extrapolated central differences.  All values are plain Python
-``complex``; overflow and NaN are error conditions, never results.
+power, compensated summation, and Richardson-extrapolated central
+differences.  Compensated sums come in two accumulators with the same value
+bit for bit.  ``CompensatedSum`` adds blocks of terms with exact
+``math.fsum`` compensation and nothing else; the special functions use it
+whenever no caller asks for conditioning.  ``CancellationMeter`` also takes
+single terms (Neumaier steps) and records ``peak``, the largest magnitude
+it has seen.  Only conditioning estimates read ``peak``: the verifier's,
+which scales its tolerances, and the benchmark's eval-mix result check.
+All values are plain Python ``complex``; overflow
+and NaN are error conditions, never results.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -22,6 +30,7 @@ __all__ = [
     "SumOverflowError",
     "EvaluationError",
     "PrecisionPolicy",
+    "CompensatedSum",
     "CancellationMeter",
     "DerivativeEstimate",
     "principal_log",
@@ -113,20 +122,70 @@ def principal_pow(z: complex, s: complex) -> complex:
     return cmath.exp(s * principal_log(z))
 
 
-class CancellationMeter:
+class CompensatedSum:
+    """Compensated accumulator of blocks of complex terms.
+
+    ``add_block`` forms the sequential running sum of the block's terms and
+    adds the block's rounding error, computed exactly by ``math.fsum``
+    (Shewchuk, Discrete Comput. Geom. 18, 1997), to the compensation.
+    ``value`` is bit for bit the value that CancellationMeter.add_block
+    gives for the same blocks; this class only skips the partial-sum lists
+    that CancellationMeter needs for its ``peak``.
+    """
+
+    __slots__ = ("_sr", "_si", "_cr", "_ci")
+
+    def __init__(self):
+        self._sr = 0.0
+        self._si = 0.0
+        self._cr = 0.0
+        self._ci = 0.0
+
+    @property
+    def value(self) -> complex:
+        return complex(self._sr + self._cr, self._si + self._ci)
+
+    def add_block(self, re: Sequence[float], im: Sequence[float]) -> None:
+        """Add the terms re[i] + im[i]*1j, given as their real and imaginary parts.
+
+        Raises SumOverflowError, leaving the sum as it was, when a term or a
+        running sum is not finite.
+        """
+        if len(re) != len(im):
+            raise DomainError("add_block needs as many imaginary parts as real parts")
+        sr, si = self._sr, self._si
+        nr, ni = reduce(add, re, sr), reduce(add, im, si)
+        # a non-finite term or partial sum leaves every later partial sum non-finite
+        if not (math.isfinite(nr) and math.isfinite(ni)):
+            raise SumOverflowError("block of terms overflowed the double range")
+        try:
+            cr = math.fsum((sr, *re, -nr))
+            ci = math.fsum((si, *im, -ni))
+        except (OverflowError, ValueError) as exc:
+            raise SumOverflowError("block of terms overflowed the double range") from exc
+        self._cr += cr
+        self._ci += ci
+        self._sr, self._si = nr, ni
+
+
+class CancellationMeter(CompensatedSum):
     """Compensated accumulator that remembers its largest excursion.
 
     ``add`` takes one term with a Neumaier step.  ``add_block`` takes a block
     of terms: it forms the same running sums as a loop of ``add`` and adds
-    the block's rounding error, computed exactly by ``math.fsum``
-    (Shewchuk, Discrete Comput. Geom. 18, 1997), to the compensation.
+    the block's exact rounding error, as CompensatedSum.add_block does.
     ``peak`` is the largest magnitude reached by any term or partial sum fed
-    through this meter, the same number either way; dividing it by the final
-    result magnitude gives the conditioning estimate used to scale
-    verification tolerances.
+    through this meter, the same number either way; the verifier divides it
+    by the final result magnitude to get the conditioning estimate that
+    scales its tolerances.  Only such estimates read ``peak``, so the
+    special functions sum into a CompensatedSum unless a caller passes a
+    meter.
+    The constructor, ``add`` and ``add_block`` are written out in full
+    rather than calling CompensatedSum's: the extra call would slow each
+    meter, term and block (the verifier builds a meter per inner sum).
     """
 
-    __slots__ = ("_sr", "_si", "_cr", "_ci", "peak")
+    __slots__ = ("peak",)
 
     def __init__(self):
         self._sr = 0.0
@@ -134,10 +193,6 @@ class CancellationMeter:
         self._cr = 0.0
         self._ci = 0.0
         self.peak = 0.0
-
-    @property
-    def value(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
 
     def note(self, magnitude: float) -> None:
         if magnitude > self.peak:
@@ -200,9 +255,11 @@ class CancellationMeter:
 
 
 def compensated_sum(terms: Sequence[complex]) -> complex:
-    """Neumaier-compensated sum of a finite complex sequence (empty sum is 0)."""
-    meter = CancellationMeter()
-    return meter.sum(terms)
+    """Compensated sum of a finite sequence of complex, real or int terms
+    (empty sum is 0), added as one CompensatedSum block."""
+    acc = CompensatedSum()
+    acc.add_block([t.real for t in terms], [t.imag for t in terms])
+    return acc.value
 
 
 @dataclass(frozen=True)

@@ -258,10 +258,13 @@ def test_eulerian_rows_give_negative_order_polylogs():
             assert abs(_neg_polylog(k, z) - direct) <= 1e-13 * abs(direct)
 
 
+# Phi(-0.99, S_ZERO, 1) = 0 (an mpmath root)
+S_ZERO = -2.005907497338372
+
+
 def test_tail_route_falls_back_to_series_at_a_zero(policy, monkeypatch):
-    # Phi(-0.99, s, 1) vanishes at s = s_zero (an mpmath root): no tail term
-    # gets under rel_tol * |Phi|, so the route gives up and the series runs
-    s_zero = -2.005907497338372
+    # Phi(-0.99, S_ZERO, 1) vanishes: no tail term gets under rel_tol * |Phi|,
+    # so the route gives up and the series runs
     outcomes, add_tail = [], functions._add_tail
 
     def spy(*args):
@@ -270,9 +273,52 @@ def test_tail_route_falls_back_to_series_at_a_zero(policy, monkeypatch):
 
     monkeypatch.setattr("lerchsum.functions._add_tail", spy)
     meter = CancellationMeter()
-    value = lerch_phi(LerchParams(-0.99, s_zero, 1.0), policy, meter)
+    value = lerch_phi(LerchParams(-0.99, S_ZERO, 1.0), policy, meter)
     assert outcomes == [False]
     assert abs(value) <= 1e-12 * meter.peak
+
+
+def test_phi_and_polylog_values_do_not_depend_on_the_meter(policy):
+    # without a meter they sum into a CompensatedSum, with one into a
+    # CancellationMeter; the two give the same value bit for bit at series
+    # points, routed points and the tail-fallback point
+    rng = seeded(20240605)
+    series, routed = [], []
+    while len(series) < 10 or len(routed) < 10:
+        z = cmath.rect(rng.uniform(0.3, 0.99), rng.uniform(-PI, PI))
+        s = random_complex(rng, (-2.0, 3.0), (-2.0, 2.0))
+        v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
+        (series if _tail_plan(z, abs(z), s, v, policy) is None else routed).append((z, s, v))
+    for z, s, v in series[:10] + routed[:10] + [(-0.99, S_ZERO, 1.0)]:
+        params = LerchParams(z, s, v)
+        assert lerch_phi(params, policy) == lerch_phi(params, policy, CancellationMeter())
+        assert polylog(s, z, policy) == polylog(s, z, policy, CancellationMeter())
+
+
+def test_meterless_functions_build_no_cancellation_meter(policy, monkeypatch):
+    built = []
+
+    class Counted(CancellationMeter):
+        __slots__ = ()
+
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(functions, "CancellationMeter", Counted)
+    hurwitz_zeta(2.5 + 1.0j, 0.7 - 0.2j, policy)
+    hurwitz_zeta(-1.5 + 0.5j, -2.3 + 0.1j, policy)
+    stieltjes_gamma1(3.7 - 1.2j, policy)
+    stieltjes_gamma1(-2.5 + 0.5j, policy)
+    # a series point, a routed point and the tail-fallback point
+    points = [(0.4 + 0.3j, 1.5 - 0.5j), (cmath.rect(0.98, 2.0), 1.5 - 0.5j), (-0.99, S_ZERO)]
+    assert _tail_plan(points[1][0], 0.98, points[1][1], 1.0, policy) is not None
+    for z, s in points:
+        lerch_phi(LerchParams(z, s, 1.0), policy)
+        polylog(s, z, policy)
+    assert built == []
+    lerch_phi(LerchParams(0.4 + 0.3j, 1.5, 1.3), policy, CancellationMeter())
+    assert len(built) == 1  # the patch is live: a meter's caller gets one
 
 
 # --------------------------------------------------------- lerch_phi_integral

@@ -15,7 +15,7 @@ from lerchsum import (
     principal_pow,
     richardson_derivative,
 )
-from lerchsum.numerics import CancellationMeter, SumOverflowError
+from lerchsum.numerics import CancellationMeter, CompensatedSum, SumOverflowError
 
 EPS = 2.220446049250313e-16
 
@@ -110,6 +110,11 @@ def test_ten_thousand_tenths():
     assert abs(compensated_sum([0.1] * 10**4) - exact) < 1e-9
 
 
+def test_compensated_sum_takes_real_and_int_terms():
+    total = compensated_sum([1, 2.5, -3, True])
+    assert type(total) is complex and total == 1.5
+
+
 def test_sum_overflow_raises():
     with pytest.raises(SumOverflowError):
         compensated_sum([1e308, 1e308, 1e308])
@@ -154,31 +159,48 @@ def _exact(parts):
     return sum(map(Fraction, parts), Fraction(0))
 
 
+# Each add_block test runs over both accumulators: they keep the same running
+# sums and compensation, so the same value bit for bit; only the meter keeps a
+# peak.  (A loop rather than parametrize keeps the tests' names.)
+ACCUMULATORS = (CancellationMeter, CompensatedSum)
+
+
+def _state(acc):
+    return (acc._sr, acc._si, acc._cr, acc._ci)
+
+
 def test_add_block_matches_add_loop_exactly():
-    for terms, size in _block_sequences():
-        loop, block = CancellationMeter(), CancellationMeter()
-        for start in range(0, len(terms), size):
-            chunk = terms[start:start + size]
-            for t in chunk:
-                loop.add(t)
-            block.add_block([t.real for t in chunk], [t.imag for t in chunk])
-            assert (block._sr, block._si) == (loop._sr, loop._si)
-            assert block.peak == loop.peak
+    for cls in ACCUMULATORS:
+        for terms, size in _block_sequences():
+            loop, block, meter = CancellationMeter(), cls(), CancellationMeter()
+            for start in range(0, len(terms), size):
+                chunk = terms[start:start + size]
+                for t in chunk:
+                    loop.add(t)
+                re, im = [t.real for t in chunk], [t.imag for t in chunk]
+                block.add_block(re, im)
+                meter.add_block(re, im)
+                assert (block._sr, block._si) == (loop._sr, loop._si)
+                assert _state(block) == _state(meter)
+                if cls is CancellationMeter:
+                    assert block.peak == loop.peak
+            assert block.value == meter.value
 
 
 def test_add_block_is_no_less_accurate_than_add_loop():
-    for terms, size in _block_sequences():
-        loop, block = CancellationMeter(), CancellationMeter()
-        loop.sum(terms)
-        for start in range(0, len(terms), size):
-            chunk = terms[start:start + size]
-            block.add_block([t.real for t in chunk], [t.imag for t in chunk])
-        exact_re = _exact(t.real for t in terms)
-        exact_im = _exact(t.imag for t in terms)
-        assert abs(Fraction(block.value.real) - exact_re) <= abs(
-            Fraction(loop.value.real) - exact_re)
-        assert abs(Fraction(block.value.imag) - exact_im) <= abs(
-            Fraction(loop.value.imag) - exact_im)
+    for cls in ACCUMULATORS:
+        for terms, size in _block_sequences():
+            loop, block = CancellationMeter(), cls()
+            loop.sum(terms)
+            for start in range(0, len(terms), size):
+                chunk = terms[start:start + size]
+                block.add_block([t.real for t in chunk], [t.imag for t in chunk])
+            exact_re = _exact(t.real for t in terms)
+            exact_im = _exact(t.imag for t in terms)
+            assert abs(Fraction(block.value.real) - exact_re) <= abs(
+                Fraction(loop.value.real) - exact_re)
+            assert abs(Fraction(block.value.imag) - exact_im) <= abs(
+                Fraction(loop.value.imag) - exact_im)
 
 
 @pytest.mark.parametrize("re, im", [
@@ -187,22 +209,32 @@ def test_add_block_is_no_less_accurate_than_add_loop():
     ([1e308, 1e308, -1e308], [0.0, 0.0, 0.0]),
 ])
 def test_add_block_raises_on_non_finite_sums(re, im):
-    meter = CancellationMeter()
-    with pytest.raises(SumOverflowError):
-        meter.add_block(re, im)
+    for cls in ACCUMULATORS:
+        acc = cls()
+        acc.add_block([3.0], [-4.0])
+        before = _state(acc)
+        with pytest.raises(SumOverflowError):
+            acc.add_block(re, im)
+        assert _state(acc) == before
+        if cls is CancellationMeter:
+            assert acc.peak == 4.0
 
 
 def test_add_block_of_nothing_changes_nothing():
-    meter = CancellationMeter()
-    meter.add(3.0 - 4.0j)
-    before = (meter._sr, meter._si, meter._cr, meter._ci, meter.peak)
-    meter.add_block([], [])
-    assert (meter._sr, meter._si, meter._cr, meter._ci, meter.peak) == before
+    for cls in ACCUMULATORS:
+        acc = cls()
+        acc.add_block([3.0], [-4.0])
+        before = _state(acc)
+        acc.add_block([], [])
+        assert _state(acc) == before
+        if cls is CancellationMeter:
+            assert acc.peak == 4.0
 
 
 def test_add_block_needs_matching_parts():
-    with pytest.raises(DomainError):
-        CancellationMeter().add_block([1.0, 2.0], [0.0])
+    for cls in ACCUMULATORS:
+        with pytest.raises(DomainError):
+            cls().add_block([1.0, 2.0], [0.0])
 
 
 # ------------------------------------------------------- richardson derivative
