@@ -24,6 +24,7 @@ from .numerics import (
     PoleError,
     PrecisionPolicy,
     _EPS,
+    _require_finite,
     compensated_sum,
     principal_log,
     principal_pow,
@@ -89,15 +90,20 @@ class LerchParams:
     s: complex
     v: complex
 
-    def validate_series(self) -> None:
-        z, s, v = complex(self.z), complex(self.s), complex(self.v)
+    def finite(self) -> tuple:
+        """(z, s, v) as complex numbers; DomainError unless all are finite."""
+        return (_require_finite(self.z, "Phi argument z"),
+                _require_finite(self.s, "Phi argument s"),
+                _require_finite(self.v, "Phi argument v"))
+
+    def validate_series(self) -> tuple:
+        """finite(), after checking that the series route covers the point."""
+        z, s, v = self.finite()
         if _near_nonpositive_integer(v):
             raise PoleError(f"Phi series: v={v!r} is a nonpositive integer")
         az = abs(z)
-        if az < 1.0:
-            return
-        if az == 1.0 and z != 1 and s.real > 1:
-            return
+        if az < 1.0 or (az == 1.0 and z != 1 and s.real > 1):
+            return z, s, v
         raise DomainError(
             f"Phi series needs |z| < 1, or |z| = 1 with z != 1 and Re(s) > 1; "
             f"got z={z!r}, s={s!r}"
@@ -326,8 +332,7 @@ def lerch_phi(
     CompensatedSum, which gives the same value bit for bit without tracking
     the peak.  Raises ConvergenceError if policy.max_terms is exhausted.
     """
-    params.validate_series()
-    z, s, v = complex(params.z), complex(params.s), complex(params.v)
+    z, s, v = params.validate_series()
     if z == 0:
         return principal_pow(v, -s)
 
@@ -392,7 +397,7 @@ def lerch_phi_integral(
     to certify rel_tol.  It also covers cancellation against Gamma(s) times
     the closed part, whose size is at most |remainder| + |Gamma(s) Phi|.
     """
-    z, s, v = complex(params.z), complex(params.s), complex(params.v)
+    z, s, v = params.finite()
     if v.real <= 0:
         raise DomainError(f"integral route needs Re(v) > 0, got v={v!r}")
     if s.real < _INTEGRAL_MIN_RE_S:
@@ -462,7 +467,8 @@ def hurwitz_zeta(
     Re s in (-4, -1), 0.29 for Re s in (-8, -4) and 7.4e5 for
     Re s in (-15, -8).
     """
-    s, a = complex(s), complex(a)
+    s = _require_finite(s, "hurwitz_zeta argument s")
+    a = _require_finite(a, "hurwitz_zeta argument a")
     if s == 1 or abs(s - 1.0) < 1e-14:
         raise PoleError("hurwitz_zeta has a pole at s = 1")
     if _near_nonpositive_integer(a):
@@ -511,16 +517,39 @@ def log_gamma(z: complex) -> complex:
     Shifts with logGamma(z) = logGamma(z+1) - log(z) until Re(z) >= 10, then
     applies Stirling's series through the B14 term.  Real and conventional on
     (0, inf); off the real axis it agrees with the branch that is analytic on
-    the plane cut along the nonpositive reals.
+    the plane cut along the nonpositive reals.  Raises DomainError for a
+    non-finite z.
+
+    Each shift step adds principal_log(z), and two fast paths add the same
+    values without its checks.  z was checked finite on entry, and a step
+    keeps it finite and away from 0 (z is no pole).  Off the real axis
+    (Im z != 0, which z + 1 keeps) principal_log is cmath.log itself.  On
+    the positive real axis it is complex(math.log(x), 0.0), so the real
+    parts are summed as floats in the same order; the imaginary parts are
+    all +0.0.  Everywhere else (Im z = +-0.0 with Re z <= 0) the loop calls
+    principal_log, which puts arg = +pi on the negative axis where cmath.log
+    gives -pi for Im z = -0.0.
     """
-    z = complex(z)
+    z = _require_finite(z, "log_gamma argument")
     if _near_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at nonpositive integer {z!r}")
     _check_liftable(z, _ASYMPTOTIC_REAL, "log_gamma")
     shift = 0j
-    while z.real < _ASYMPTOTIC_REAL:
-        shift += principal_log(z)
-        z += 1
+    if z.imag != 0.0:
+        log = cmath.log
+        while z.real < _ASYMPTOTIC_REAL:
+            shift += log(z)
+            z += 1
+    elif z.real > 0.0:
+        log, total = math.log, 0.0
+        while z.real < _ASYMPTOTIC_REAL:
+            total += log(z.real)
+            z += 1
+        shift = complex(total, 0.0)
+    else:
+        while z.real < _ASYMPTOTIC_REAL:
+            shift += principal_log(z)
+            z += 1
     inv = 1.0 / z
     inv2 = inv * inv
     series = 0j
@@ -533,7 +562,7 @@ def log_gamma(z: complex) -> complex:
 
 def digamma(z: complex) -> complex:
     """psi(z) via the recurrence psi(z) = psi(z+1) - 1/z and the asymptotic series."""
-    z = complex(z)
+    z = _require_finite(z, "digamma argument")
     if _near_nonpositive_integer(z):
         raise PoleError(f"digamma pole at nonpositive integer {z!r}")
     _check_liftable(z, _ASYMPTOTIC_REAL, "digamma")
@@ -553,7 +582,7 @@ def digamma(z: complex) -> complex:
 
 def harmonic(z: complex) -> complex:
     """Generalized harmonic number H_z = psi(z + 1) + gamma."""
-    z = complex(z)
+    z = _require_finite(z, "harmonic argument")
     if _near_nonpositive_integer(z + 1):
         raise PoleError(f"harmonic pole at negative integer {z!r}")
     return digamma(z + 1) + EULER_GAMMA
@@ -621,7 +650,7 @@ def stieltjes_gamma1(
     Re a <= 0 it uses the same principal logs as hurwitz_zeta's
     (a+k)^(-s).  Raises ConvergenceError when N exceeds max_terms.
     """
-    a = complex(a)
+    a = _require_finite(a, "stieltjes_gamma1 argument")
     if _near_nonpositive_integer(a):
         raise PoleError(f"stieltjes_gamma1: a={a!r} is a nonpositive integer")
     _check_liftable(a, 1.0, "stieltjes_gamma1")

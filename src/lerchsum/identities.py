@@ -199,6 +199,45 @@ def _noted_sum(meter: CancellationMeter, parts: Sequence[complex],
     return value
 
 
+class _Ladder:
+    """The rungs rung(2^p) and rung(2^(p+1)) of term p of a dyadic side.
+
+    Term p + 1 needs rung(2^(p+1)) again, so step() carries it over as the
+    next term's low rung: each rung is evaluated once per side, when a term
+    first asks for it, so calls keep the order (and a failure the term
+    index) of a per-term transcription.  rung(s) builds its argument from
+    the scale s by products and sums with constants; multiplying by 2 is
+    exact in binary floating point (the registry's domains keep the
+    arguments far from overflow, see _MAX_N, and from the subnormals), so
+    rung(2^(p+1)) receives bit for bit the argument that term p writes
+    with coefficients twice as large, e.g.
+    0.25 (2^(p+1) a) = 0.5 (2^p a) and 0.25 (2^(p+1) a - 2) = 0.5 (2^p a - 1).
+    rung must look its function up by module name at call time, so that
+    the benchmark's tracer, which swaps those names, sees every call.
+    """
+
+    __slots__ = ("_rung", "_scale", "_low", "_high")
+
+    def __init__(self, rung: Callable[[float], complex], first: int = 0):
+        self._rung = rung
+        self._scale = 2.0 ** first
+        self._low = self._high = None
+
+    def low(self) -> complex:
+        if self._low is None:
+            self._low = self._rung(self._scale)
+        return self._low
+
+    def high(self) -> complex:
+        if self._high is None:
+            self._high = self._rung(2.0 * self._scale)
+        return self._high
+
+    def step(self) -> None:
+        self._low, self._high = self._high, None
+        self._scale *= 2.0
+
+
 # --------------------------------------------------------------------------
 # small trig/algebra helpers
 # --------------------------------------------------------------------------
@@ -483,16 +522,20 @@ def _id06_rhs(pt, policy, meter):
 
 def _id07_lhs(pt, policy, meter):
     la = principal_log(complex(pt.a))
+    scaled = _Ladder(lambda s: log_gamma(-_I * 0.25 * s * la))
+    shifted = _Ladder(lambda s: log_gamma(0.25 * (-_I * s * la - 2.0)))
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         sp = 2.0 ** p
         yield tp * _noted_sum(meter, [
-            2.0 * log_gamma(-_I * 0.25 * sp * la),
-            -2.0 * log_gamma(-_I * 0.5 * sp * la),
-            -2.0 * log_gamma(0.25 * (-_I * sp * la - 2.0)),
-            2.0 * log_gamma(0.5 * (-_I * sp * la - 1.0)),
+            2.0 * scaled.low(),
+            -2.0 * scaled.high(),
+            -2.0 * shifted.low(),
+            2.0 * shifted.high(),
             principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
         ], tp)
+        scaled.step()
+        shifted.step()
 
 
 def _id07_rhs(pt, policy, meter):
@@ -525,16 +568,20 @@ def _real_a_constraints(lo: float, hi: float):
 
 def _id08_lhs(pt, policy, meter):
     a = complex(pt.a)
+    scaled = _Ladder(lambda s: log_gamma(0.25 * s * a))
+    shifted = _Ladder(lambda s: log_gamma(0.25 * (s * a - 2.0)))
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         sp = 2.0 ** p
         yield tp * _noted_sum(meter, [
-            2.0 * log_gamma(0.25 * sp * a),
-            -2.0 * log_gamma(0.5 * sp * a),
-            -2.0 * log_gamma(0.25 * (sp * a - 2.0)),
-            2.0 * log_gamma(0.5 * (sp * a - 1.0)),
+            2.0 * scaled.low(),
+            -2.0 * scaled.high(),
+            -2.0 * shifted.low(),
+            2.0 * shifted.high(),
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
         ], tp)
+        scaled.step()
+        shifted.step()
 
 
 def _id08_rhs(pt, policy, meter):
@@ -556,15 +603,19 @@ def _id08_rhs(pt, policy, meter):
 
 def _id09_lhs(pt, policy, meter):
     a = complex(pt.a)
+    scaled = _Ladder(lambda s: digamma(0.25 * s * a))
+    shifted = _Ladder(lambda s: digamma(0.25 * (s * a - 2.0)))
     for p in range(pt.n + 1):
         sp = 2.0 ** p
         yield _noted_sum(meter, [
             4.0 / (a * sp * (a * sp - 3.0) + 2.0),
-            -digamma(0.25 * sp * a),
-            2.0 * digamma(0.5 * sp * a),
-            digamma(0.25 * (sp * a - 2.0)),
-            -2.0 * digamma(0.5 * (sp * a - 1.0)),
+            -scaled.low(),
+            2.0 * scaled.high(),
+            shifted.low(),
+            -2.0 * shifted.high(),
         ])
+        scaled.step()
+        shifted.step()
 
 
 def _id09_rhs(pt, policy, meter):
@@ -602,17 +653,18 @@ def _id10_rhs(pt, policy, meter):
 # overflow of Gamma at large 2^p x)
 # --------------------------------------------------------------------------
 
-def _nielsen_factor_exponent(x: complex, p: int) -> complex:
-    sp = 2.0 ** p
-    return (2.0 ** -p) * (-(0.5 * sp * x) * _LN2
-                          + log_gamma(0.5 * (sp * x + 1.0))
-                          - 2.0 * log_gamma(0.25 * (sp * x + 2.0)))
+def _nielsen_exponents(x: complex, n: int) -> Iterator[complex]:
+    """log of the ratio factors p = 1..n:
+    2^-p [-2^(p-1) x ln 2 + log Gamma((2^p x + 1)/2) - 2 log Gamma((2^p x + 2)/4)]."""
+    rungs = _Ladder(lambda s: log_gamma(0.25 * (s * x + 2.0)), first=1)
+    for p in range(1, n + 1):
+        sp = 2.0 ** p
+        yield (2.0 ** -p) * (-(0.5 * sp * x) * _LN2 + rungs.high() - 2.0 * rungs.low())
+        rungs.step()
 
 
 def _id11_lhs(pt, policy, meter):
-    x = complex(pt.x)
-    for p in range(1, pt.n + 1):
-        e = _nielsen_factor_exponent(x, p)
+    for e in _nielsen_exponents(complex(pt.x), pt.n):
         meter.note(abs(e))
         yield cmath.exp(e)
 
@@ -637,8 +689,8 @@ def _id11_constraints(pt, margin):
 def _nielsen_prefixes(x: complex, n: int) -> Iterator[complex]:
     """The running products of the ratio factors p = 1..n."""
     value = 1 + 0j
-    for p in range(1, n + 1):
-        value *= cmath.exp(_nielsen_factor_exponent(x, p))
+    for e in _nielsen_exponents(x, n):
+        value *= cmath.exp(e)
         yield value
 
 
@@ -688,18 +740,21 @@ def _id12_constraints(pt, margin):
 
 def _id13_lhs(pt, policy, meter):
     a = complex(pt.a)
+    h_scaled = _Ladder(lambda s: harmonic(0.25 * s * a))
+    h_shifted = _Ladder(lambda s: harmonic(0.25 * (s * a - 2.0)))
+    g_scaled = _Ladder(lambda s: stieltjes_gamma1(0.25 * s * a + 1.0, policy))
+    g_shifted = _Ladder(lambda s: stieltjes_gamma1(0.25 * (s * a + 2.0), policy))
     for p in range(pt.n + 1):
-        sp = 2.0 ** p
         yield _noted_sum(meter, [
-            principal_log(_I * 2.0 ** (1 - p))
-            * (harmonic(0.25 * sp * a) - harmonic(0.25 * (sp * a - 2.0))),
-            2.0 * principal_log(_I * 2.0 ** -p)
-            * (harmonic(0.5 * (sp * a - 1.0)) - harmonic(0.5 * sp * a)),
-            -stieltjes_gamma1(0.25 * sp * a + 1.0, policy),
-            2.0 * stieltjes_gamma1(0.5 * sp * a + 1.0, policy),
-            -2.0 * stieltjes_gamma1(0.5 * (sp * a + 1.0), policy),
-            stieltjes_gamma1(0.25 * (sp * a + 2.0), policy),
+            principal_log(_I * 2.0 ** (1 - p)) * (h_scaled.low() - h_shifted.low()),
+            2.0 * principal_log(_I * 2.0 ** -p) * (h_shifted.high() - h_scaled.high()),
+            -g_scaled.low(),
+            2.0 * g_scaled.high(),
+            -2.0 * g_shifted.high(),
+            g_shifted.low(),
         ])
+        for ladder in (h_scaled, h_shifted, g_scaled, g_shifted):
+            ladder.step()
 
 
 def _id13_rhs(pt, policy, meter):

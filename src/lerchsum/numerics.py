@@ -90,7 +90,7 @@ class PrecisionPolicy:
 
 def _require_finite(z: complex, what: str = "argument") -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError(f"{what} must be finite, got {z!r}")
     return z
 

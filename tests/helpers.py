@@ -91,3 +91,131 @@ def random_complex(rng, re_range, im_range):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ------------------------------------------------ per-term references
+# The registry's dyadic sides carry each ladder rung from term p to term
+# p + 1 (identities._Ladder).  These are the per-term transcriptions they
+# replaced: every term evaluates all of its own rungs.  The carried sides
+# must equal them bit for bit.
+
+def log_gamma_by_steps(z):
+    """functions.log_gamma with principal_log at every shift step."""
+    from lerchsum.functions import (_ASYMPTOTIC_REAL, _HALF_LN_2PI, _LOGGAMMA_BERNOULLI,
+                                    _check_liftable, _near_nonpositive_integer)
+    from lerchsum.numerics import PoleError, _require_finite, principal_log
+
+    z = _require_finite(z, "log_gamma argument")
+    if _near_nonpositive_integer(z):
+        raise PoleError(f"log_gamma pole at nonpositive integer {z!r}")
+    _check_liftable(z, _ASYMPTOTIC_REAL, "log_gamma")
+    shift = 0j
+    while z.real < _ASYMPTOTIC_REAL:
+        shift += principal_log(z)
+        z += 1
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = 0j
+    term = inv
+    for coeff in _LOGGAMMA_BERNOULLI:
+        series += coeff * term
+        term *= inv2
+    return (z - 0.5) * principal_log(z) - z + _HALF_LN_2PI + series - shift
+
+
+def id07_lhs_per_term(pt, policy, meter):
+    from lerchsum import log_gamma, principal_log
+    from lerchsum.identities import _I, _noted_sum
+
+    la = principal_log(complex(pt.a))
+    for p in range(pt.n + 1):
+        tp = 2.0 ** -p
+        sp = 2.0 ** p
+        yield tp * _noted_sum(meter, [
+            2.0 * log_gamma(-_I * 0.25 * sp * la),
+            -2.0 * log_gamma(-_I * 0.5 * sp * la),
+            -2.0 * log_gamma(0.25 * (-_I * sp * la - 2.0)),
+            2.0 * log_gamma(0.5 * (-_I * sp * la - 1.0)),
+            principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
+        ], tp)
+
+
+def id08_lhs_per_term(pt, policy, meter):
+    from lerchsum import log_gamma, principal_log
+    from lerchsum.identities import _noted_sum
+
+    a = complex(pt.a)
+    for p in range(pt.n + 1):
+        tp = 2.0 ** -p
+        sp = 2.0 ** p
+        yield tp * _noted_sum(meter, [
+            2.0 * log_gamma(0.25 * sp * a),
+            -2.0 * log_gamma(0.5 * sp * a),
+            -2.0 * log_gamma(0.25 * (sp * a - 2.0)),
+            2.0 * log_gamma(0.5 * (sp * a - 1.0)),
+            principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
+        ], tp)
+
+
+def id09_lhs_per_term(pt, policy, meter):
+    from lerchsum import digamma
+    from lerchsum.identities import _noted_sum
+
+    a = complex(pt.a)
+    for p in range(pt.n + 1):
+        sp = 2.0 ** p
+        yield _noted_sum(meter, [
+            4.0 / (a * sp * (a * sp - 3.0) + 2.0),
+            -digamma(0.25 * sp * a),
+            2.0 * digamma(0.5 * sp * a),
+            digamma(0.25 * (sp * a - 2.0)),
+            -2.0 * digamma(0.5 * (sp * a - 1.0)),
+        ])
+
+
+def nielsen_factor_exponent_per_term(x, p):
+    from lerchsum import log_gamma
+
+    sp = 2.0 ** p
+    return (2.0 ** -p) * (-(0.5 * sp * x) * LN2
+                          + log_gamma(0.5 * (sp * x + 1.0))
+                          - 2.0 * log_gamma(0.25 * (sp * x + 2.0)))
+
+
+def id11_lhs_per_term(pt, policy, meter):
+    x = complex(pt.x)
+    for p in range(1, pt.n + 1):
+        e = nielsen_factor_exponent_per_term(x, p)
+        meter.note(abs(e))
+        yield cmath.exp(e)
+
+
+def nielsen_prefixes_per_term(x, n):
+    value = 1 + 0j
+    for p in range(1, n + 1):
+        value *= cmath.exp(nielsen_factor_exponent_per_term(x, p))
+        yield value
+
+
+def id13_lhs_per_term(pt, policy, meter):
+    from lerchsum import harmonic, principal_log, stieltjes_gamma1
+    from lerchsum.identities import _I, _noted_sum
+
+    a = complex(pt.a)
+    for p in range(pt.n + 1):
+        sp = 2.0 ** p
+        yield _noted_sum(meter, [
+            principal_log(_I * 2.0 ** (1 - p))
+            * (harmonic(0.25 * sp * a) - harmonic(0.25 * (sp * a - 2.0))),
+            2.0 * principal_log(_I * 2.0 ** -p)
+            * (harmonic(0.5 * (sp * a - 1.0)) - harmonic(0.5 * sp * a)),
+            -stieltjes_gamma1(0.25 * sp * a + 1.0, policy),
+            2.0 * stieltjes_gamma1(0.5 * sp * a + 1.0, policy),
+            -2.0 * stieltjes_gamma1(0.5 * (sp * a + 1.0), policy),
+            stieltjes_gamma1(0.25 * (sp * a + 2.0), policy),
+        ])
+
+
+PER_TERM_LHS = {"ID-07": id07_lhs_per_term, "ID-08": id08_lhs_per_term,
+                "ID-09": id09_lhs_per_term, "ID-11": id11_lhs_per_term,
+                "ID-13": id13_lhs_per_term}

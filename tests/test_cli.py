@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import pytest
+
 from lerchsum.cli import main
 
 PI = math.pi
@@ -49,6 +51,25 @@ def test_eval_convergence_error_exit_3(capsys):
     code, _, err = run_cli(["eval", "phi", "--z", "0.999999", "0", "--s", "1", "0",
                             "--v", "1", "0", "--max-terms", "50"], capsys)
     assert code == 3
+
+
+# function -> the arguments of a finite call
+EVAL_ARGS = {"loggamma": {"z": "1.5"}, "digamma": {"z": "1.5"}, "harmonic": {"z": "1.5"},
+             "stieltjes1": {"a": "1.5"}, "zeta": {"s": "2", "a": "1.5"},
+             "polylog": {"s": "2", "z": "0.5"}, "phi": {"z": "0.5", "s": "2", "v": "1"},
+             "phi-integral": {"z": "0.5", "s": "2", "v": "1"}}
+
+
+@pytest.mark.parametrize("function,field", [(fn, field) for fn, args in EVAL_ARGS.items()
+                                            for field in args])
+@pytest.mark.parametrize("bad", [("nan", "0"), ("inf", "0"), ("0", "nan"), ("1", "inf")])
+def test_eval_non_finite_argument_exit_2(function, field, bad, capsys):
+    argv = ["eval", function]
+    for name, re_part in EVAL_ARGS[function].items():
+        argv += [f"--{name}", *(bad if name == field else (re_part, "0"))]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("domain error")
 
 
 def test_eval_missing_argument_exit_2(capsys):

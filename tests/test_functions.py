@@ -30,6 +30,7 @@ from lerchsum.oracle import phi_series_bruteforce
 from helpers import (
     alternating_series_limit,
     gamma_product_oracle,
+    log_gamma_by_steps,
     random_complex,
     seeded,
     stieltjes1_fd_oracle,
@@ -607,6 +608,74 @@ def test_log_gamma_recurrence_200_points():
         delta = log_gamma(z + 1.0) - log_gamma(z) - principal_log(z)
         scale = max(abs(log_gamma(z)), 1.0)
         assert abs(delta) <= 1e-12 * scale
+
+
+def _log_gamma_bit_points():
+    """About 12,000 seeded points over every branch of log_gamma's shift."""
+    rng = seeded(20240610)
+    below_10 = math.nextafter(10.0, 0.0)
+    points = [complex(rng.uniform(-30.0, 15.0), rng.uniform(-20.0, 20.0)) for _ in range(3000)]
+    points += [complex(rng.uniform(-30.0, 15.0),
+                       rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 0))
+               for _ in range(1000)]  # tiny imaginary parts
+    points += [complex(rng.uniform(0.0, 15.0), 0.0) for _ in range(2000)]
+    points += [complex(10.0 ** rng.uniform(-300, 1), 0.0) for _ in range(500)]
+    points += [complex(rng.uniform(-30.0, 0.0), 0.0) for _ in range(2000)]
+    for _ in range(1500):  # signed zero imaginary parts on both half-axes
+        x = rng.uniform(-30.0, 15.0)
+        points += [complex(x, 0.0), complex(x, -0.0)]
+    for im in (0.0, -0.0, 1e-300, -2.5, 3.0):  # Re z at and just below 10
+        points += [complex(re, im) for re in (10.0, below_10, 10.0 - 1e-9, 9.0, -below_10)]
+        points += [complex(rng.uniform(9.0, 10.0), im) for _ in range(100)]
+    return points
+
+
+NON_FINITE = (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+              complex(0.0, math.nan), complex(-2.5, math.inf))
+
+
+def test_log_gamma_shift_bit_identical_to_principal_log_steps():
+    points = _log_gamma_bit_points()
+    assert len(points) >= 10_000
+    for z in points:
+        try:
+            expected = log_gamma_by_steps(z)
+        except PoleError:  # negative-integer draws
+            with pytest.raises(PoleError):
+                log_gamma(z)
+            continue
+        value = log_gamma(z)
+        assert (repr(value.real), repr(value.imag)) == \
+            (repr(expected.real), repr(expected.imag)), z
+    for z in NON_FINITE:
+        with pytest.raises(DomainError):
+            log_gamma_by_steps(z)
+        with pytest.raises(DomainError):
+            log_gamma(z)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w, policy: log_gamma(w),
+    lambda w, policy: digamma(w),
+    lambda w, policy: harmonic(w),
+    lambda w, policy: stieltjes_gamma1(w, policy),
+    lambda w, policy: hurwitz_zeta(w, 1.5, policy),
+    lambda w, policy: hurwitz_zeta(2.0, w, policy),
+    lambda w, policy: polylog(w, 0.5, policy),
+    lambda w, policy: polylog(2.0, w, policy),
+    lambda w, policy: lerch_phi(LerchParams(w, 2.0, 1.0), policy),
+    lambda w, policy: lerch_phi(LerchParams(0.5, w, 1.0), policy),
+    lambda w, policy: lerch_phi(LerchParams(0.5, 2.0, w), policy),
+    lambda w, policy: lerch_phi_integral(LerchParams(w, 2.0, 1.0), policy),
+    lambda w, policy: lerch_phi_integral(LerchParams(0.5, w, 1.0), policy),
+    lambda w, policy: lerch_phi_integral(LerchParams(0.5, 2.0, w), policy),
+], ids=["log_gamma", "digamma", "harmonic", "stieltjes_gamma1", "zeta_s", "zeta_a",
+        "polylog_s", "polylog_z", "phi_z", "phi_s", "phi_v", "integral_z", "integral_s",
+        "integral_v"])
+@pytest.mark.parametrize("w", NON_FINITE, ids=repr)
+def test_non_finite_arguments_raise_domain_error(call, w, policy):
+    with pytest.raises(DomainError):
+        call(w, policy)
 
 
 # -------------------------------------------------------------------- digamma

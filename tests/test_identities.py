@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,10 +14,11 @@ from lerchsum import (
     principal_pow,
     prudnikov_original,
 )
-from lerchsum.identities import SideEvaluationError, evaluate_side
+from lerchsum import identities
+from lerchsum.identities import SideEvaluationError, evaluate_side, side_terms
 from lerchsum.numerics import CancellationMeter
 from lerchsum.verifier import default_strategy, sample_points
-from helpers import seeded
+from helpers import PER_TERM_LHS, nielsen_prefixes_per_term, seeded
 
 PI = math.pi
 
@@ -219,3 +221,71 @@ def test_every_identity_is_finite_and_tight_on_samples(policy):
                 continue  # its gate is checked (and documented) separately
             assert res.error is None
             assert res.passed, (spec.id, res.index, res.rel_err, res.cond)
+
+
+# ------------------------------------------------------------ carried rungs
+
+def _counting(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(identities, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(identities, name, wrapper)
+    return counts
+
+
+# calls each dyadic left side makes at n: every rung once per side
+LADDER_CALLS = {
+    "ID-07": lambda n: {"log_gamma": 2 * (n + 2)},
+    "ID-08": lambda n: {"log_gamma": 2 * (n + 2)},
+    "ID-09": lambda n: {"digamma": 2 * (n + 2)},
+    "ID-11": lambda n: {"log_gamma": n + 1},
+    "ID-13": lambda n: {"harmonic": 2 * (n + 2), "stieltjes_gamma1": 2 * (n + 2)},
+}
+LADDER_POINTS = {"ID-07": EvalPoint(a=3.7), "ID-08": EvalPoint(a=3.7),
+                 "ID-09": EvalPoint(a=3.7), "ID-11": EvalPoint(x=0.4),
+                 "ID-13": EvalPoint(a=3.7)}
+
+
+@pytest.mark.parametrize("identity_id", sorted(LADDER_CALLS))
+def test_dyadic_sides_evaluate_each_rung_once(identity_id, monkeypatch, policy):
+    spec = get_identity(identity_id)
+    lo, hi = spec.region["n"]
+    for n in sorted({lo, 1, 2, hi}):
+        expected = LADDER_CALLS[identity_id](n)
+        counts = _counting(monkeypatch, expected)
+        pt = dataclasses.replace(LADDER_POINTS[identity_id], n=n)
+        evaluate_side("lhs", spec.lhs, pt, policy, CancellationMeter())
+        assert counts == expected, (identity_id, n)
+
+
+def test_trend_gate_evaluates_each_rung_once(monkeypatch):
+    counts = _counting(monkeypatch, ["log_gamma"])
+    get_identity("ID-12").trend.partial_products(0.4)
+    assert counts == {"log_gamma": 13}
+
+
+@pytest.mark.parametrize("identity_id", sorted(PER_TERM_LHS))
+def test_carried_rungs_equal_the_per_term_sides(identity_id, policy):
+    spec = get_identity(identity_id)
+    reference = identities.SideExpr(spec.lhs.kind, PER_TERM_LHS[identity_id])
+    lo, hi = spec.region["n"]
+    points = sample_points(spec, default_strategy(identity_id, count=40, seed=20240607))
+    points += [dataclasses.replace(pt, n=n) for pt in points[:10] for n in (lo, hi)]
+    for pt in points:
+        sides = []
+        for expr in (spec.lhs, reference):
+            meter = CancellationMeter()
+            sides.append((side_terms("lhs", expr, pt, policy, meter), meter.peak))
+        assert sides[0] == sides[1], (identity_id, pt)
+
+
+def test_trend_gate_equals_the_per_term_products():
+    gate = get_identity("ID-12").trend
+    rng = seeded(20240608)
+    for x in [0.05, 0.95] + [rng.uniform(0.05, 0.95) for _ in range(40)]:
+        assert gate.partial_products(x) == list(nielsen_prefixes_per_term(complex(x), 12))[3:]
