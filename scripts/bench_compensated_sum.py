@@ -5,9 +5,13 @@ Compares two checkouts of this repository, a parent and a change (default:
 the checkout that holds this script), on:
 
 * eval-mix calls: every one of the 5,000 calls at seeds 20240601, 7 and 1234
-  timed on its own, fastest of seven passes, summed per kind.  Each pass
-  runs in a fresh interpreter (after one untimed warm-up pass), and the two
-  sides' passes alternate.  Every result is compared bit for bit;
+  timed on its own in seven passes, summed per kind.  Each pass of each
+  seed runs in a fresh interpreter (after one untimed warm-up pass); a pass
+  runs the seeds in a rotated order and the two sides of each seed back to
+  back.  bench/speed.py's probe runs untimed every 20 calls, and each
+  pass's times are scaled to the probe's reference speed; a call's time is
+  its median scaled pass (the fastest raw pass is kept beside it).  Every
+  result is compared bit for bit;
 * micro-timings: `CancellationMeter.add` over 32 terms and `add_block` of
   one 32-term block (and `CompensatedSum.add_block` where it exists),
   fastest of 200 repeats, and `verifier.run_suite` for ID-01, ID-04 and
@@ -40,12 +44,14 @@ import io
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_phi_integral import bench_record  # noqa: E402
@@ -53,6 +59,7 @@ from bench_phi_integral import bench_record  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (20240601, 7, 1234)
 CALL_PASSES = 7
+PROBE_EVERY = 20  # calls between two runs of bench/speed.py's probe
 MICRO_RUNS = 5
 FIRST_BENCH_SEED = 901
 TRACE_SEED = 20240601
@@ -87,31 +94,33 @@ def gamma1_points() -> list:
 
 # ---------------------------------------------------------------- child side
 
-def _child(root: Path, task: str) -> dict:
-    """Run in a fresh interpreter with `root`'s package and bench on the path."""
+def _child(root: Path, task: str, seed: Optional[int] = None) -> dict:
+    """Run in a fresh interpreter with `root`'s package and bench on the path;
+    the calls task times the eval-mix calls of one seed."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import evalmix
     import lerchsum
 
     if task == "calls":
-        out = {}
+        import speed
+
         clock = time.perf_counter
-        for seed in SEEDS:
-            calls = evalmix.make_calls(lerchsum, seed)
-            fns = [getattr(lerchsum, call.fn) for call in calls]
-            for _ in range(2):  # a warm-up pass, then the timed one
-                times, results = [], []
-                for fn, call in zip(fns, calls):
-                    t0 = clock()
-                    try:
-                        result = _hex(fn(*call.args))
-                    except (ArithmeticError, ValueError, RuntimeError) as exc:
-                        result = type(exc).__name__
-                    times.append(clock() - t0)
-                    results.append(result)
-            out[str(seed)] = {"kinds": [call.kind for call in calls],
-                              "times": times, "results": results}
-        return out
+        calls = evalmix.make_calls(lerchsum, seed)
+        fns = [getattr(lerchsum, call.fn) for call in calls]
+        for _ in range(2):  # a warm-up pass, then the timed one
+            times, results, probes = [], [], []
+            for i, (fn, call) in enumerate(zip(fns, calls)):
+                if i % PROBE_EVERY == 0:  # untimed, as bench/run.py does
+                    probes.append(speed.probe_time())
+                t0 = clock()
+                try:
+                    result = _hex(fn(*call.args))
+                except (ArithmeticError, ValueError, RuntimeError) as exc:
+                    result = type(exc).__name__
+                times.append(clock() - t0)
+                results.append(result)
+        return {"kinds": [call.kind for call in calls], "times": times, "results": results,
+                "scale": speed.PROBE_REF_S / statistics.fmean(probes)}
 
     if task == "micro":
         import timeit
@@ -173,11 +182,12 @@ def _child(root: Path, task: str) -> dict:
     raise ValueError(task)
 
 
-def _run_child(root: Path, task: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", task,
-         "--root", str(root)],
-        check=True, capture_output=True, text=True, env=CHILD_ENV)
+def _run_child(root: Path, task: str, seed: Optional[int] = None) -> dict:
+    command = [sys.executable, str(Path(__file__).resolve()), "--child", task,
+               "--root", str(root)]
+    if seed is not None:
+        command += ["--seed", str(seed)]
+    proc = subprocess.run(command, check=True, capture_output=True, text=True, env=CHILD_ENV)
     return json.loads(proc.stdout)
 
 
@@ -193,21 +203,36 @@ def _alternating(parent: Path, change: Path, task: str, runs: int) -> dict:
 # --------------------------------------------------------------- parent side
 
 def calls_record(parent: Path, change: Path) -> dict:
-    passes = _alternating(parent, change, "calls", CALL_PASSES)
+    # One child times one seed.  Pass i runs the seeds in an order rotated by
+    # i, and the two sides of a seed back to back, the side that goes first
+    # alternating; so a slow stretch of the machine falls on both sides of
+    # one seed rather than on one side of it.
+    passes = {"parent": defaultdict(list), "change": defaultdict(list)}
+    turn = 0
+    for i in range(CALL_PASSES):
+        for seed in SEEDS[i % len(SEEDS):] + SEEDS[:i % len(SEEDS)]:
+            for side in ("parent", "change") if turn % 2 == 0 else ("change", "parent"):
+                passes[side][str(seed)].append(
+                    _run_child(parent if side == "parent" else change, "calls", seed))
+            turn += 1
     record = {}
     for seed in map(str, SEEDS):
-        first = {side: runs[0][seed] for side, runs in passes.items()}
+        first = {side: runs[seed][0] for side, runs in passes.items()}
         kinds = first["parent"]["kinds"]
         if first["change"]["kinds"] != kinds:
             raise RuntimeError(f"seed {seed}: the two checkouts drew different calls")
         for side, runs in passes.items():
-            if any(run[seed]["results"] != first[side]["results"] for run in runs):
+            if any(run["results"] != first[side]["results"] for run in runs[seed]):
                 raise RuntimeError(f"seed {seed}: {side} results differ between passes")
-        per_kind = {}
+        per_kind, fastest_totals = {}, {}
         for side, runs in passes.items():
-            fastest = map(min, zip(*(run[seed]["times"] for run in runs)))
+            fastest_totals[side] = sum(map(min, zip(*(run["times"] for run in runs[seed]))))
+            # each pass in seconds at the probe's reference speed, then the
+            # median pass per call: steadier than the fastest raw pass,
+            # which a rare fast stretch of the host can set for one side
+            scaled = [[t * run["scale"] for t in run["times"]] for run in runs[seed]]
             sums = defaultdict(float)
-            for kind, t in zip(kinds, fastest):
+            for kind, t in zip(kinds, map(statistics.median, zip(*scaled))):
                 sums[kind] += t
             per_kind[side] = {kind: round(t, 6) for kind, t in sorted(sums.items())}
         totals = {side: sum(sums.values()) for side, sums in per_kind.items()}
@@ -215,8 +240,13 @@ def calls_record(parent: Path, change: Path) -> dict:
                                                   first["change"]["results"])) if p != c]
         record[seed] = {
             "calls": len(kinds),
-            "sum_of_fastest_call_times_s": {side: round(t, 6) for side, t in totals.items()},
+            "sum_of_scaled_median_call_times_s": {side: round(t, 6)
+                                                  for side, t in totals.items()},
             "change_pct": round(100.0 * (totals["change"] / totals["parent"] - 1.0), 2),
+            "sum_of_fastest_call_times_s": {side: round(t, 6)
+                                            for side, t in fastest_totals.items()},
+            "fastest_change_pct": round(
+                100.0 * (fastest_totals["change"] / fastest_totals["parent"] - 1.0), 2),
             "per_kind_s": per_kind,
             "per_kind_change_pct": {
                 kind: round(100.0 * (per_kind["change"][kind] / t - 1.0), 2)
@@ -309,9 +339,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
     parser.add_argument("--child", choices=("calls", "micro", "points", "reports"), help=argparse.SUPPRESS)
     parser.add_argument("--root", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(_child(args.root, args.child)))
+        print(json.dumps(_child(args.root, args.child, args.seed)))
         return 0
     if args.parent is None:
         parser.error("--parent is required")

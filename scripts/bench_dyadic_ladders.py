@@ -21,8 +21,8 @@ the checkout that holds this script), on:
   codes and the failing identities (`reports_record` of
   scripts/bench_compensated_sum.py);
 * eval-mix: all 5,000 calls at the same three seeds compared bit for bit,
-  with each kind's summed call time, fastest of seven passes
-  (`calls_record` of scripts/bench_compensated_sum.py);
+  with each kind's summed call time over seven passes (`calls_record` of
+  scripts/bench_compensated_sum.py);
 * the benchmark: `bench_record` of scripts/bench_phi_integral.py, ten
   alternating 50 s pairs per workload by default, at seeds from 1001 on.
 

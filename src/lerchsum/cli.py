@@ -10,6 +10,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -45,6 +46,8 @@ _EVAL_FUNCTIONS = {
     "stieltjes1": (("a",), stieltjes_gamma1),
 }
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,6 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one special function")
+    # argparse takes only plain decimals such as -0.001 for negative numbers,
+    # and reads -1e-3 as an unknown option; accept the exponent form too
+    pe._negative_number_matcher = _NEGATIVE_NUMBER
     pe.add_argument("function", choices=sorted(_EVAL_FUNCTIONS))
     for name in ("z", "s", "v", "a"):
         pe.add_argument(f"--{name}", nargs=2, type=float, metavar=("RE", "IM"))

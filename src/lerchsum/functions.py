@@ -390,11 +390,12 @@ def lerch_phi_integral(
     from h = 1/8 on, since the trapezoid converges geometrically for an
     analytic integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
-    Raises ConvergenceError after 14 halvings, and also when the sums agree
-    but their rounding floor, eps times the integral of |f| (read off the
-    first mesh), exceeds the same tolerance: the integrand then cancels too
-    deeply (as at large |Im s|, where |Gamma(s)| is tiny) for any agreement
-    to certify rel_tol.  It also covers cancellation against Gamma(s) times
+    Raises ConvergenceError after 14 halvings, and as soon as the rounding
+    floor, eps times the integral of |f| (read off the first mesh), exceeds
+    the same tolerance where the sums agree or at two levels in a row: the
+    integrand then cancels too deeply (as at large |Im s|, where |Gamma(s)|
+    is tiny) for any agreement to certify rel_tol, and halving further only
+    spends nodes.  The floor also covers cancellation against Gamma(s) times
     the closed part, whose size is at most |remainder| + |Gamma(s) Phi|.
     """
     z, s, v = params.finite()
@@ -434,18 +435,21 @@ def lerch_phi_integral(
     whole = gamma_s * closed
     # |f| is smooth and positive, so the first mesh already gives its integral
     floor = _EPS * h * sum(map(abs, values))
+    was_under_floor = False
     for level in range(14):
         h *= 0.5
         mids = int(round(span / (2.0 * h)))
         total += sum(integrand(-left + (2 * i + 1) * h) for i in range(mids))
         current = total * h
         target = policy.rel_tol * max(abs(current + whole), policy.abs_tol)
-        if level >= 1 and abs(current - previous) <= target:
-            if floor > target:
-                raise ConvergenceError(
-                    "Phi integral cancels below rel_tol: its rounding floor exceeds the tolerance")
+        under_floor = floor > target
+        agree = level >= 1 and abs(current - previous) <= target
+        if under_floor and (agree or was_under_floor):
+            raise ConvergenceError(
+                "Phi integral cancels below rel_tol: its rounding floor exceeds the tolerance")
+        if agree:
             return closed + current / gamma_s
-        previous = current
+        previous, was_under_floor = current, under_floor
     raise ConvergenceError("Phi integral quadrature did not converge in 14 refinements")
 
 

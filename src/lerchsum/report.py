@@ -1,18 +1,20 @@
 """Deterministic report serialization.
 
-JSON and CSV writers for suite/verify reports.  Numbers are serialized with
-17 significant digits (exact double round-trip); key order is fixed, so two
-runs with identical configuration produce byte-identical files except for
-the meta timestamp and wall-time entries, which are the only volatile
-fields.
+JSON and CSV writers for suite/verify reports.  JSON numbers are written as
+Python's shortest round-trip repr, by the standard library's encoder; CSV
+numbers with 17 significant digits.  Both round-trip every double exactly.
+A non-finite float is written as the string "nan", "inf" or "-inf" in JSON
+and as nan/inf/-inf in CSV.  Key order is fixed, so two runs with identical
+configuration produce byte-identical files except for the meta timestamp and
+wall-time entries, which are the only volatile fields.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import fields
 from datetime import datetime, timezone
-from io import StringIO
 from typing import Optional
 
 from .identities import EvalPoint
@@ -24,52 +26,21 @@ _POINT_FIELDS = tuple(f.name for f in fields(EvalPoint))
 _VOLATILE_META = ("timestamp", "wall_time_s")
 
 
-def _fmt(x: float) -> str:
+def _num(x):
+    """x itself, or for a non-finite float the string the report holds."""
+    if x is None or math.isfinite(x):
+        return x
     if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _dump(obj, out: StringIO) -> None:
-    if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, str):
-        escaped = (obj.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        out.write(f'"{escaped}"')
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(_fmt(obj))
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.write(", ")
-            out.write(f'"{key}": ')
-            _dump(val, out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.write(", ")
-            _dump(val, out)
-        out.write("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        return "nan"
+    return "inf" if x > 0 else "-inf"
 
 
 def _complex_obj(z: Optional[complex]):
     if z is None:
         return None
-    return {"re": float(z.real), "im": float(z.imag)}
+    if cmath.isfinite(z):
+        return {"re": z.real, "im": z.imag}
+    return {"re": _num(z.real), "im": _num(z.imag)}
 
 
 def _point_obj(point: EvalPoint) -> dict:
@@ -88,9 +59,9 @@ def _result_obj(result: VerificationResult) -> dict:
         "point": _point_obj(result.point),
         "lhs": _complex_obj(result.lhs),
         "rhs": _complex_obj(result.rhs),
-        "abs_err": result.abs_err,
-        "rel_err": result.rel_err,
-        "cond": result.cond,
+        "abs_err": _num(result.abs_err),
+        "rel_err": _num(result.rel_err),
+        "cond": _num(result.cond),
         "pass": result.passed,
         "mode": result.mode,
         "tol": result.tol,
@@ -111,8 +82,8 @@ def report_to_obj(report: SuiteReport, timestamp: Optional[str] = None) -> dict:
         "count": row.points,
         "passed": row.passed,
         "pass_rate": row.pass_rate,
-        "worst_rel_err": row.worst_rel_err,
-        "worst_abs_err": row.worst_abs_err,
+        "worst_rel_err": _num(row.worst_rel_err),
+        "worst_abs_err": _num(row.worst_abs_err),
         "points": [_result_obj(r) for r in row.results],
     } for row in report.rows]
     return {
@@ -139,10 +110,10 @@ def strip_volatile(obj: dict) -> dict:
 
 
 def dumps_json(report: SuiteReport, timestamp: Optional[str] = None) -> str:
-    out = StringIO()
-    _dump(report_to_obj(report, timestamp), out)
-    out.write("\n")
-    return out.getvalue()
+    import json  # here, not at the top: only report writing needs it
+
+    return json.dumps(report_to_obj(report, timestamp), ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def _csv_num(x) -> str:

@@ -219,3 +219,38 @@ def id13_lhs_per_term(pt, policy, meter):
 PER_TERM_LHS = {"ID-07": id07_lhs_per_term, "ID-08": id08_lhs_per_term,
                 "ID-09": id09_lhs_per_term, "ID-11": id11_lhs_per_term,
                 "ID-13": id13_lhs_per_term}
+
+
+# ------------------------------------------------ rung-by-rung pole ladders
+# Poles read off each trigonometric entry's sides: for each field w, the zeros
+# of cos(2^-q w) for q = 0..n+depth and of sin(c w) for c in sin_scales(n).
+# The registry checks the one lattice (pi/2)Z that holds them all; this is the
+# check it replaced, every rung on its own.
+
+POLE_LADDERS = {
+    "ID-00": (("m",), 1, lambda n: (2.0 ** -n, 2.0)),
+    "ID-02": (("m",), 1, lambda n: (2.0 ** -n, 2.0)),
+    "ID-03": (("m", "r"), 1, lambda n: (1.0, 2.0 ** -(n + 1))),
+    "ID-05": (("x",), 2, lambda n: (1.0, 0.5, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
+    "ID-06": (("x",), 2, lambda n: [2.0 ** -q for q in range(-1, n + 3)]),
+    "ID-15": (("x",), 2, lambda n: (2.0, 1.0, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
+}
+
+
+def _dist_to_zeros(w, scale, offset):
+    """Distance from w to {(offset + pi j)/scale : j in Z}, in w units."""
+    y = scale * w
+    dx = (y.real - offset) % math.pi
+    dx = min(dx, math.pi - dx)
+    return math.hypot(dx, y.imag) / scale
+
+
+def pole_ladder_check(identity_id, pt, margin):
+    """True when every field of pt keeps margin from every rung's zeros."""
+    names, depth, sin_scales = POLE_LADDERS[identity_id]
+    if pt.n is None or any(getattr(pt, name) is None for name in names):
+        return False
+    rungs = ([(2.0 ** -q, math.pi / 2.0) for q in range(pt.n + depth + 1)]
+             + [(c, 0.0) for c in sin_scales(pt.n)])
+    return all(_dist_to_zeros(complex(getattr(pt, name)), scale, offset) >= margin
+               for name in names for scale, offset in rungs)

@@ -53,6 +53,17 @@ def test_eval_convergence_error_exit_3(capsys):
     assert code == 3
 
 
+def test_eval_accepts_negative_numbers_in_exponent_form(capsys):
+    expected = run_cli(["eval", "digamma", "--z", "1", "-0.001"], capsys)
+    assert expected[0] == 0
+    assert run_cli(["eval", "digamma", "--z", "1", "-1e-3"], capsys) == expected
+    assert run_cli(["eval", "digamma", "--z", "1", "-1E-3"], capsys) == expected
+    # an argument short is still a usage error
+    code, _, err = run_cli(["eval", "digamma", "--z", "-1e-3"], capsys)
+    assert code == 2
+    assert "expected 2 arguments" in err
+
+
 # function -> the arguments of a finite call
 EVAL_ARGS = {"loggamma": {"z": "1.5"}, "digamma": {"z": "1.5"}, "harmonic": {"z": "1.5"},
              "stieltjes1": {"a": "1.5"}, "zeta": {"s": "2", "a": "1.5"},

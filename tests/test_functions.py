@@ -459,27 +459,32 @@ def test_integral_keeps_full_accuracy_next_to_z_one():
             assert abs(value - exact) <= 1e-13 * abs(exact)
 
 
+class _NodeCounter:
+    """Stands in for lerchsum.functions.math.  The integrand takes one
+    math.exp per node, so `nodes` counts the integral's nodes."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.nodes += 1
+        return math.exp(x)
+
+
 def test_integral_stops_by_an_eighth_step(policy, monkeypatch):
-    # the integrand takes one math.exp per node; these points need 129-293
-    # nodes (the plain kernel with its left cut at Re(s) and a stop no
-    # earlier than h = 1/16 needed 355-1523)
-    class CountingMath:
-        nodes = 0
-
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        def exp(self, x):
-            CountingMath.nodes += 1
-            return math.exp(x)
-
-    monkeypatch.setattr("lerchsum.functions.math", CountingMath())
+    # these points need 129-293 nodes (the plain kernel with its left cut at
+    # Re(s) and a stop no earlier than h = 1/16 needed 355-1523)
+    counter = _NodeCounter()
+    monkeypatch.setattr("lerchsum.functions.math", counter)
     for z, s, v in ((0.5 + 0.3j, 1.5 + 0.5j, 1.2), (-0.7 + 0.2j, 2.5 - 1.0j, 0.6 + 0.3j),
                     (0.6 - 0.2j, 0.8 + 2.0j, 3.0), (0.95, 1.5, 0.7), (0.1j, 0.5 + 1.0j, 2.0),
                     (0.2, 3.0, 0.5)):
-        CountingMath.nodes = 0
+        counter.nodes = 0
         lerch_phi_integral(LerchParams(z, s, v), policy)
-        assert CountingMath.nodes <= 300
+        assert counter.nodes <= 300
 
 
 def test_integral_refuses_below_its_rounding_floor(policy):
@@ -495,6 +500,18 @@ def test_integral_refuses_below_its_rounding_floor(policy):
     loose = PrecisionPolicy(rel_tol=1e-6)
     series = lerch_phi(params, policy)
     assert abs(lerch_phi_integral(params, loose) - series) <= 1e-6 * abs(series)
+
+
+def test_integral_gives_up_while_its_rounding_floor_stays_high(policy, monkeypatch):
+    # at |Im s| = 8.7 the sums never certify rel_tol; raising only after all
+    # 14 halvings took 704,513 nodes (about 1 s).  The floor is above the
+    # tolerance at the first two levels, so the route raises by h = 1/8
+    counter = _NodeCounter()
+    monkeypatch.setattr("lerchsum.functions.math", counter)
+    params = LerchParams(0.9506 + 0.2528j, 3.121 + 8.678j, 0.596 - 0.865j)
+    with pytest.raises(ConvergenceError, match="rounding floor"):
+        lerch_phi_integral(params, policy)
+    assert counter.nodes <= 400
 
 
 def test_integral_agrees_with_series_at_large_im_s(policy):

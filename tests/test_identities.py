@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -17,8 +18,9 @@ from lerchsum import (
 from lerchsum import identities
 from lerchsum.identities import SideEvaluationError, evaluate_side, side_terms
 from lerchsum.numerics import CancellationMeter
-from lerchsum.verifier import default_strategy, sample_points
-from helpers import PER_TERM_LHS, nielsen_prefixes_per_term, seeded
+from lerchsum.verifier import DEFAULT_POLE_MARGIN, default_strategy, sample_points
+from helpers import (PER_TERM_LHS, POLE_LADDERS, nielsen_prefixes_per_term,
+                     pole_ladder_check, seeded)
 
 PI = math.pi
 
@@ -97,18 +99,6 @@ def test_constraint_violation_rejected(policy):
         evaluate_sides("ID-02", EvalPoint(m=PI / 2.0, n=0), policy)
 
 
-# Poles read off each trigonometric entry's sides: for each field w, the zeros
-# of cos(2^-q w) for q = 0..n+depth and of sin(c w) for c in sin_scales(n).
-POLE_LADDERS = {
-    "ID-00": (("m",), 1, lambda n: (2.0 ** -n, 2.0)),
-    "ID-02": (("m",), 1, lambda n: (2.0 ** -n, 2.0)),
-    "ID-03": (("m", "r"), 1, lambda n: (1.0, 2.0 ** -(n + 1))),
-    "ID-05": (("x",), 2, lambda n: (1.0, 0.5, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
-    "ID-06": (("x",), 2, lambda n: [2.0 ** -q for q in range(-1, n + 3)]),
-    "ID-15": (("x",), 2, lambda n: (2.0, 1.0, 2.0 ** -(n + 1), 2.0 ** -(n + 2))),
-}
-
-
 def test_dyadic_pole_ladders_reject_every_pole():
     margin = 0.05
     regular = complex(0.7, 0.5)  # |Im w| >= margin keeps w off every real pole
@@ -123,6 +113,25 @@ def test_dyadic_pole_ladders_reject_every_pole():
                 for w in poles:
                     pt = EvalPoint(n=n, **{**base, name: complex(w)})
                     assert not spec.constraints(pt, margin), (identity_id, n, name, w)
+
+
+def test_one_pole_lattice_equals_the_rung_by_rung_ladders():
+    # 2,000 points per entry, n = 0..10; half within 0.5-1.5 margins of
+    # (pi/2)Z, where a rung the lattice missed would show
+    margin = DEFAULT_POLE_MARGIN
+    rng = seeded(20240611)
+    for identity_id, (names, _, _) in POLE_LADDERS.items():
+        spec = get_identity(identity_id)
+        for i in range(2000):
+            fields = {name: complex(rng.uniform(-12.0, 12.0), rng.uniform(-0.2, 0.2))
+                      for name in names}
+            if i % 2:
+                near = rng.choice(names)
+                fields[near] = (rng.randint(-16, 16) * PI / 2.0 + cmath.rect(
+                    margin * rng.uniform(0.5, 1.5), rng.uniform(-PI, PI)))
+            pt = EvalPoint(n=rng.randint(0, 10), **fields)
+            assert spec.constraints(pt, margin) == pole_ladder_check(identity_id, pt, margin), \
+                (identity_id, pt)
 
 
 def test_point_n_cap():

@@ -6,6 +6,7 @@ from lerchsum import (
     ConvergenceError,
     DomainError,
     EvalPoint,
+    PrecisionPolicy,
     SampleStrategy,
     default_strategy,
     get_identity,
@@ -17,6 +18,7 @@ from lerchsum import (
 )
 from lerchsum.identities import IdentitySpec, SideExpr
 from lerchsum.report import dumps_csv, dumps_json, report_to_obj, strip_volatile
+from lerchsum.verifier import IdentityReport, SuiteReport, VerificationResult
 
 TWO_PI = 2.0 * math.pi
 
@@ -227,3 +229,32 @@ def test_suite_report_json_is_valid_json(policy):
     assert obj["meta"]["seed"] == 2
     assert obj["identities"][0]["id"] == "ID-02"
     assert len(obj["identities"][0]["points"]) == 3
+
+
+def _non_finite_report():
+    # fresh nan objects on every build, so a raw nan left in the report
+    # object would make two builds compare unequal
+    nan, inf = float("nan"), float("inf")
+    result = VerificationResult(
+        identity_id="ID-02", index=0, point=EvalPoint(m=1.0, n=0),
+        lhs=complex(nan, inf), rhs=complex(-inf, nan), abs_err=nan, rel_err=inf,
+        cond=-inf, passed=False, mode="relative", tol=1e-10)
+    row = IdentityReport(identity_id="ID-02", title="degenerate", mode="relative",
+                         tol=1e-10, points=1, passed=0, worst_rel_err=inf,
+                         worst_abs_err=nan, results=(result,))
+    return SuiteReport(rows=(row,), seed=1, count=1, policy=PrecisionPolicy(),
+                       wall_time_s=0.5)
+
+
+def test_report_writes_non_finite_values_as_strings():
+    import json
+    text = dumps_json(_non_finite_report(), timestamp="T")
+    for fragment in ('"lhs": {"re": "nan", "im": "inf"}',
+                     '"rhs": {"re": "-inf", "im": "nan"}',
+                     '"abs_err": "nan"', '"rel_err": "inf"', '"cond": "-inf"',
+                     '"worst_rel_err": "inf"', '"worst_abs_err": "nan"'):
+        assert fragment in text
+    point = json.loads(text)["identities"][0]["points"][0]
+    assert (point["abs_err"], point["rel_err"], point["cond"]) == ("nan", "inf", "-inf")
+    one, two = _non_finite_report(), _non_finite_report()
+    assert strip_volatile(report_to_obj(one)) == strip_volatile(report_to_obj(two))
