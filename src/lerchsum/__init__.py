@@ -30,7 +30,6 @@ from .numerics import (
     compensated_sum,
     principal_log,
     principal_pow,
-    richardson_derivative,
 )
 from .oracle import OracleReport, finite_sum_direct, limit_probe, phi_series_bruteforce
 from .verifier import (

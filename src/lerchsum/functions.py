@@ -251,8 +251,6 @@ def _sum_series(acc: CompensatedSum, z: complex, az: float, s: complex,
     """Feed the series terms into acc in blocks of up to _BLOCK: the first
     `head` terms, or (head None) until the tail bound of lerch_phi's docstring
     is met at a block end.  Returns z^N for the N terms summed."""
-    if not cmath.isfinite(v):
-        raise DomainError(f"argument must be finite, got {v!r}")
     if v.imag == 0.0:
         # cmath.log gives arg = -pi at Im = -0.0, principal_log's branch +pi;
         # from Python 3.14 on, v + k keeps the sign of a zero imaginary part

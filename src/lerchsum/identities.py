@@ -141,7 +141,7 @@ class IdentitySpec:
     title: str
     description: str
     schema: Sequence[str]
-    compare_mode: str  # relative | absolute | exp_equality | mod_2pi_i
+    compare_mode: str  # relative | absolute | mod_2pi_i
     lhs: SideExpr
     rhs: SideExpr
     constraints: Callable[[EvalPoint, float], bool]

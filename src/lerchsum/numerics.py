@@ -1,14 +1,14 @@
 """Double-precision complex building blocks.
 
-Everything downstream is built on four primitives: principal-branch log and
-power, compensated summation, and Richardson-extrapolated central
-differences.  Compensated sums come in two accumulators with the same value
-bit for bit.  ``CompensatedSum`` adds blocks of terms with exact
-``math.fsum`` compensation and nothing else; the special functions use it
-whenever no caller asks for conditioning.  ``CancellationMeter`` also takes
-single terms (Neumaier steps) and records ``peak``, the largest magnitude
-it has seen.  Only conditioning estimates read ``peak``: the verifier's,
-which scales its tolerances, and the benchmark's eval-mix result check.
+Everything downstream is built on two primitives: principal-branch log and
+power, and compensated summation.  Compensated sums come in two
+accumulators with the same value bit for bit.  ``CompensatedSum`` adds
+blocks of terms with exact ``math.fsum`` compensation and nothing else;
+the special functions use it whenever no caller asks for conditioning.
+``CancellationMeter`` also takes single terms (Neumaier steps) and records
+``peak``, the largest magnitude it has seen.  Only conditioning estimates
+read ``peak``: the verifier's, which scales its tolerances, and the
+benchmark's eval-mix result check.
 All values are plain Python ``complex``; overflow
 and NaN are error conditions, never results.
 """
@@ -21,22 +21,19 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from operator import add
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "DomainError",
     "PoleError",
     "ConvergenceError",
     "SumOverflowError",
-    "EvaluationError",
     "PrecisionPolicy",
     "CompensatedSum",
     "CancellationMeter",
-    "DerivativeEstimate",
     "principal_log",
     "principal_pow",
     "compensated_sum",
-    "richardson_derivative",
 ]
 
 _EPS = 2.220446049250313e-16  # 2**-52
@@ -58,10 +55,6 @@ class SumOverflowError(ConvergenceError):
     """A partial accumulation left the representable double range."""
 
 
-class EvaluationError(RuntimeError):
-    """A user-supplied function failed at a required evaluation point."""
-
-
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Tolerances and budgets shared by every numerical routine.
@@ -69,13 +62,11 @@ class PrecisionPolicy:
     rel_tol:   target relative error of series/quadrature truncation
     abs_tol:   floor used when comparing values near zero
     max_terms: hard cap on series length before giving up
-    diff_step: base step for Richardson-extrapolated differentiation
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_terms: int = 10**6
-    diff_step: float = 1e-3
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
@@ -84,8 +75,6 @@ class PrecisionPolicy:
             raise DomainError("abs_tol must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if not (self.diff_step > 0 and math.isfinite(self.diff_step)):
-            raise DomainError("diff_step must be positive and finite")
 
 
 def _require_finite(z: complex, what: str = "argument") -> complex:
@@ -261,49 +250,3 @@ def compensated_sum(terms: Sequence[complex]) -> complex:
     acc.add_block([t.real for t in terms], [t.imag for t in terms])
     return acc.value
 
-
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    value: complex
-    error: float
-
-
-def richardson_derivative(
-    f: Callable[[complex], complex],
-    x0: complex,
-    policy: PrecisionPolicy = PrecisionPolicy(),
-) -> DerivativeEstimate:
-    """Central-difference derivative with two Richardson levels.
-
-    Uses steps h, h/2, h/4 (h = policy.diff_step), eliminating the h^2 and
-    h^4 truncation terms.  The reported error combines the last extrapolation
-    update with a roundoff term eps*|f|/h and is calibrated to bound the true
-    error for functions analytic in a disk of radius ~4h around x0.
-    """
-    x0 = _require_finite(x0, "expansion point")
-    h = policy.diff_step
-
-    fmax = 0.0
-
-    def stencil(step: float) -> complex:
-        nonlocal fmax
-        try:
-            fp = complex(f(x0 + step))
-            fm = complex(f(x0 - step))
-        except Exception as exc:  # noqa: BLE001 - report which point failed
-            raise EvaluationError(f"function failed near {x0!r} at step {step}") from exc
-        fmax = max(fmax, abs(fp), abs(fm))
-        return (fp - fm) / (2.0 * step)
-
-    d0 = stencil(h)
-    d1 = stencil(h / 2.0)
-    d2 = stencil(h / 4.0)
-    r1a = (4.0 * d1 - d0) / 3.0
-    r1b = (4.0 * d2 - d1) / 3.0
-    r2 = (16.0 * r1b - r1a) / 15.0
-    truncation = abs(r2 - r1b) + abs(r1b - r1a) / 15.0
-    roundoff = 8.0 * _EPS * fmax / (h / 4.0)
-    error = 2.0 * truncation + roundoff + 1e-300
-    if not (math.isfinite(r2.real) and math.isfinite(r2.imag)):
-        raise EvaluationError("derivative stencil produced a non-finite value")
-    return DerivativeEstimate(value=r2, error=error)

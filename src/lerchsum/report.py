@@ -94,7 +94,6 @@ def report_to_obj(report: SuiteReport, timestamp: Optional[str] = None) -> dict:
                 "rel_tol": report.policy.rel_tol,
                 "abs_tol": report.policy.abs_tol,
                 "max_terms": report.policy.max_terms,
-                "diff_step": report.policy.diff_step,
             },
             "timestamp": timestamp,
             "wall_time_s": report.wall_time_s,

@@ -9,7 +9,6 @@ Evaluation failures are recorded as non-passing results, never dropped.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 import time
@@ -156,12 +155,6 @@ def _judge(mode: str, lhs: complex, rhs: complex, cond: float, tol: float,
         branch = int(round(d.imag / _TWO_PI))
         resid = abs(d - complex(0.0, _TWO_PI * branch))
         passed = resid / max(abs(lhs), abs(rhs), policy.abs_tol) <= budget
-    elif mode == "exp_equality":
-        d = lhs - rhs
-        if abs(d.real) > 500.0:
-            passed = False
-        else:
-            passed = abs(cmath.exp(d) - 1.0) <= budget
     else:
         raise DomainError(f"unknown compare mode {mode!r}")
     return passed, abs_err, rel_err, branch

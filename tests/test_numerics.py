@@ -13,9 +13,9 @@ from lerchsum import (
     compensated_sum,
     principal_log,
     principal_pow,
-    richardson_derivative,
 )
 from lerchsum.numerics import CancellationMeter, CompensatedSum, SumOverflowError
+from helpers import EvaluationError, richardson_derivative
 
 EPS = 2.220446049250313e-16
 
@@ -272,8 +272,6 @@ def test_derivative_error_estimate_bounds_truth():
 
 
 def test_derivative_reports_evaluation_failure():
-    from lerchsum.numerics import EvaluationError
-
     def bad(z):
         raise ValueError("boom")
 
@@ -286,11 +284,11 @@ def test_derivative_reports_evaluation_failure():
 def test_policy_defaults():
     p = PrecisionPolicy()
     assert p.rel_tol == 1e-10 and p.abs_tol == 1e-12
-    assert p.max_terms == 10**6 and p.diff_step == 1e-3
+    assert p.max_terms == 10**6
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rel_tol": 0.0}, {"abs_tol": -1e-3}, {"max_terms": 0}, {"diff_step": 0.0},
+    {"rel_tol": 0.0}, {"abs_tol": -1e-3}, {"max_terms": 0},
 ])
 def test_policy_validation(kwargs):
     with pytest.raises(DomainError):

@@ -122,7 +122,7 @@ def test_cond_growth_trend_for_exp_product(policy):
     assert conds[-1] / conds[0] > 3.0
 
 
-def test_exp_equality_mode_accepts_2pi_shifts(policy):
+def test_mod_2pi_i_mode_accepts_2pi_shifts(policy):
     def lhs_terms(pt, policy_, meter):
         yield complex(0.4, 0.3)
 
@@ -130,15 +130,15 @@ def test_exp_equality_mode_accepts_2pi_shifts(policy):
         yield complex(0.4, 0.3 + TWO_PI)
 
     synthetic = IdentitySpec(
-        id="SYN-EXP", title="synthetic", description="2 pi i shifted sides",
-        schema=("x",), compare_mode="exp_equality",
+        id="SYN-LOG", title="synthetic", description="2 pi i shifted sides",
+        schema=("x",), compare_mode="mod_2pi_i",
         lhs=SideExpr("sum", lhs_terms), rhs=SideExpr("sum", rhs_terms),
         constraints=lambda pt, margin: True,
         tol=1e-12, region={"x": ((0.0, 1.0), (0.0, 0.0))},
     )
     strategy = SampleStrategy(seed=1, count=3, region=synthetic.region)
     results = verify_identity(synthetic, strategy, policy, tol=1e-12)
-    assert all(r.passed for r in results)
+    assert all(r.passed and r.branch_integer == -1 for r in results)
     relative = IdentitySpec(
         id="SYN-REL", title="synthetic", description="same pair, strict compare",
         schema=("x",), compare_mode="relative",
