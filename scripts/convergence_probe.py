@@ -17,7 +17,7 @@ import argparse
 import cmath
 import math
 
-from lerchsum import PrecisionPolicy, nielsen_limit, nielsen_partial_product
+from lerchsum import nielsen_limit, nielsen_partial_product
 from lerchsum.oracle import limit_probe
 
 
@@ -27,13 +27,12 @@ def main() -> int:
                         default=[0.1, 0.3, 0.5, 0.7, 0.9])
     parser.add_argument("--n-max", type=int, default=20)
     args = parser.parse_args()
-    policy = PrecisionPolicy()
     half_ln_2pi = 0.5 * math.log(2 * math.pi)
 
     header = "n    " + "".join(f"x={x:<12g}" for x in args.x)
     print(header)
     limits = {x: nielsen_limit(x) for x in args.x}
-    probes = {x: limit_probe(lambda n, x=x: nielsen_partial_product(x, n, policy),
+    probes = {x: limit_probe(lambda n, x=x: nielsen_partial_product(x, n),
                              args.n_max)
               for x in args.x}
     for n in range(1, args.n_max + 1):

@@ -132,9 +132,10 @@ class IdentitySpec:
 
     tol is the comparison tolerance: a point passes when its metric is at
     most tol * max(1, cond).  region maps each schema field to the sampling
-    box ((re_lo, re_hi), (im_lo, im_hi)), and "n" to an inclusive integer
-    range (lo, hi).  lift, when set, maps the drawn field values to the
-    point's values, for a field whose box is not in its own units.
+    box ((re_lo, re_hi), (im_lo, im_hi)) or, as it always maps "n", to an
+    inclusive integer range (lo, hi).  lift, when set, maps the drawn field
+    values to the point's values, for a field whose box is not in its own
+    units.
     """
 
     id: str
@@ -199,43 +200,30 @@ def _noted_sum(meter: CancellationMeter, parts: Sequence[complex],
     return value
 
 
-class _Ladder:
-    """The rungs rung(2^p) and rung(2^(p+1)) of term p of a dyadic side.
+def _rungs(rung: Callable[[float], complex], first: int = 0) -> Iterator[tuple]:
+    """(rung(2^p), rung(2^(p+1))) for p = first, first + 1, ...: the two
+    rungs of term p of a dyadic side.
 
-    Term p + 1 needs rung(2^(p+1)) again, so step() carries it over as the
-    next term's low rung: each rung is evaluated once per side, when a term
-    first asks for it, so calls keep the order (and a failure the term
-    index) of a per-term transcription.  rung(s) builds its argument from
-    the scale s by products and sums with constants; multiplying by 2 is
-    exact in binary floating point (the registry's domains keep the
-    arguments far from overflow, see _MAX_N, and from the subnormals), so
-    rung(2^(p+1)) receives bit for bit the argument that term p writes
-    with coefficients twice as large, e.g.
+    Term p + 1 needs rung(2^(p+1)) again, so each high rung is carried over
+    as the next low rung: each rung is evaluated once per side.  Zip the
+    generator after the side's range of p, so that it evaluates no rung
+    past the last term and a failure falls in the term that needs the rung.
+    rung(s) builds its argument from the scale s by products and sums with
+    constants; multiplying by 2 is exact in binary floating point (the
+    registry's domains keep the arguments far from overflow, see _MAX_N,
+    and from the subnormals), so rung(2^(p+1)) receives bit for bit the
+    argument that term p writes with coefficients twice as large, e.g.
     0.25 (2^(p+1) a) = 0.5 (2^p a) and 0.25 (2^(p+1) a - 2) = 0.5 (2^p a - 1).
     rung must look its function up by module name at call time, so that
     the benchmark's tracer, which swaps those names, sees every call.
     """
-
-    __slots__ = ("_rung", "_scale", "_low", "_high")
-
-    def __init__(self, rung: Callable[[float], complex], first: int = 0):
-        self._rung = rung
-        self._scale = 2.0 ** first
-        self._low = self._high = None
-
-    def low(self) -> complex:
-        if self._low is None:
-            self._low = self._rung(self._scale)
-        return self._low
-
-    def high(self) -> complex:
-        if self._high is None:
-            self._high = self._rung(2.0 * self._scale)
-        return self._high
-
-    def step(self) -> None:
-        self._low, self._high = self._high, None
-        self._scale *= 2.0
+    scale = 2.0 ** first
+    low = rung(scale)
+    while True:
+        scale *= 2.0
+        high = rung(scale)
+        yield low, high
+        low = high
 
 
 # --------------------------------------------------------------------------
@@ -524,20 +512,19 @@ def _id06_rhs(pt, policy, meter):
 
 def _id07_lhs(pt, policy, meter):
     la = principal_log(complex(pt.a))
-    scaled = _Ladder(lambda s: log_gamma(-_I * 0.25 * s * la))
-    shifted = _Ladder(lambda s: log_gamma(0.25 * (-_I * s * la - 2.0)))
-    for p in range(pt.n + 1):
+    for p, (scaled_lo, scaled_hi), (shifted_lo, shifted_hi) in zip(
+            range(pt.n + 1),
+            _rungs(lambda s: log_gamma(-_I * 0.25 * s * la)),
+            _rungs(lambda s: log_gamma(0.25 * (-_I * s * la - 2.0)))):
         tp = 2.0 ** -p
         sp = 2.0 ** p
         yield tp * _noted_sum(meter, [
-            2.0 * scaled.low(),
-            -2.0 * scaled.high(),
-            -2.0 * shifted.low(),
-            2.0 * shifted.high(),
+            2.0 * scaled_lo,
+            -2.0 * scaled_hi,
+            -2.0 * shifted_lo,
+            2.0 * shifted_hi,
             principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
         ], tp)
-        scaled.step()
-        shifted.step()
 
 
 def _id07_rhs(pt, policy, meter):
@@ -570,20 +557,19 @@ def _real_a_constraints(lo: float, hi: float):
 
 def _id08_lhs(pt, policy, meter):
     a = complex(pt.a)
-    scaled = _Ladder(lambda s: log_gamma(0.25 * s * a))
-    shifted = _Ladder(lambda s: log_gamma(0.25 * (s * a - 2.0)))
-    for p in range(pt.n + 1):
+    for p, (scaled_lo, scaled_hi), (shifted_lo, shifted_hi) in zip(
+            range(pt.n + 1),
+            _rungs(lambda s: log_gamma(0.25 * s * a)),
+            _rungs(lambda s: log_gamma(0.25 * (s * a - 2.0)))):
         tp = 2.0 ** -p
         sp = 2.0 ** p
         yield tp * _noted_sum(meter, [
-            2.0 * scaled.low(),
-            -2.0 * scaled.high(),
-            -2.0 * shifted.low(),
-            2.0 * shifted.high(),
+            2.0 * scaled_lo,
+            -2.0 * scaled_hi,
+            -2.0 * shifted_lo,
+            2.0 * shifted_hi,
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
         ], tp)
-        scaled.step()
-        shifted.step()
 
 
 def _id08_rhs(pt, policy, meter):
@@ -605,19 +591,18 @@ def _id08_rhs(pt, policy, meter):
 
 def _id09_lhs(pt, policy, meter):
     a = complex(pt.a)
-    scaled = _Ladder(lambda s: digamma(0.25 * s * a))
-    shifted = _Ladder(lambda s: digamma(0.25 * (s * a - 2.0)))
-    for p in range(pt.n + 1):
+    for p, (scaled_lo, scaled_hi), (shifted_lo, shifted_hi) in zip(
+            range(pt.n + 1),
+            _rungs(lambda s: digamma(0.25 * s * a)),
+            _rungs(lambda s: digamma(0.25 * (s * a - 2.0)))):
         sp = 2.0 ** p
         yield _noted_sum(meter, [
             4.0 / (a * sp * (a * sp - 3.0) + 2.0),
-            -scaled.low(),
-            2.0 * scaled.high(),
-            shifted.low(),
-            -2.0 * shifted.high(),
+            -scaled_lo,
+            2.0 * scaled_hi,
+            shifted_lo,
+            -2.0 * shifted_hi,
         ])
-        scaled.step()
-        shifted.step()
 
 
 def _id09_rhs(pt, policy, meter):
@@ -658,11 +643,10 @@ def _id10_rhs(pt, policy, meter):
 def _nielsen_exponents(x: complex, n: int) -> Iterator[complex]:
     """log of the ratio factors p = 1..n:
     2^-p [-2^(p-1) x ln 2 + log Gamma((2^p x + 1)/2) - 2 log Gamma((2^p x + 2)/4)]."""
-    rungs = _Ladder(lambda s: log_gamma(0.25 * (s * x + 2.0)), first=1)
-    for p in range(1, n + 1):
+    for p, (lo, hi) in zip(range(1, n + 1),
+                           _rungs(lambda s: log_gamma(0.25 * (s * x + 2.0)), first=1)):
         sp = 2.0 ** p
-        yield (2.0 ** -p) * (-(0.5 * sp * x) * _LN2 + rungs.high() - 2.0 * rungs.low())
-        rungs.step()
+        yield (2.0 ** -p) * (-(0.5 * sp * x) * _LN2 + hi - 2.0 * lo)
 
 
 def _id11_lhs(pt, policy, meter):
@@ -696,7 +680,7 @@ def _nielsen_prefixes(x: complex, n: int) -> Iterator[complex]:
         yield value
 
 
-def nielsen_partial_product(x: complex, n: int, policy: PrecisionPolicy,
+def nielsen_partial_product(x: complex, n: int,
                             meter: Optional[CancellationMeter] = None) -> complex:
     """Product of the first n ratio factors (p = 1..n), in log space."""
     meter = meter if meter is not None else CancellationMeter()
@@ -722,7 +706,7 @@ _ID12_GATE = TrendGate(_nielsen_prefixes, n_lo=4, n_hi=12, final_tol=1e-6)
 
 
 def _id12_lhs(pt, policy, meter):
-    yield nielsen_partial_product(complex(pt.x), _ID12_GATE.n_hi, policy, meter)
+    yield nielsen_partial_product(complex(pt.x), _ID12_GATE.n_hi, meter)
 
 
 def _id12_rhs(pt, policy, meter):
@@ -742,21 +726,20 @@ def _id12_constraints(pt, margin):
 
 def _id13_lhs(pt, policy, meter):
     a = complex(pt.a)
-    h_scaled = _Ladder(lambda s: harmonic(0.25 * s * a))
-    h_shifted = _Ladder(lambda s: harmonic(0.25 * (s * a - 2.0)))
-    g_scaled = _Ladder(lambda s: stieltjes_gamma1(0.25 * s * a + 1.0, policy))
-    g_shifted = _Ladder(lambda s: stieltjes_gamma1(0.25 * (s * a + 2.0), policy))
-    for p in range(pt.n + 1):
+    for p, (h_lo, h_hi), (hs_lo, hs_hi), (g_lo, g_hi), (gs_lo, gs_hi) in zip(
+            range(pt.n + 1),
+            _rungs(lambda s: harmonic(0.25 * s * a)),
+            _rungs(lambda s: harmonic(0.25 * (s * a - 2.0))),
+            _rungs(lambda s: stieltjes_gamma1(0.25 * s * a + 1.0, policy)),
+            _rungs(lambda s: stieltjes_gamma1(0.25 * (s * a + 2.0), policy))):
         yield _noted_sum(meter, [
-            principal_log(_I * 2.0 ** (1 - p)) * (h_scaled.low() - h_shifted.low()),
-            2.0 * principal_log(_I * 2.0 ** -p) * (h_shifted.high() - h_scaled.high()),
-            -g_scaled.low(),
-            2.0 * g_scaled.high(),
-            -2.0 * g_shifted.high(),
-            g_shifted.low(),
+            principal_log(_I * 2.0 ** (1 - p)) * (h_lo - hs_lo),
+            2.0 * principal_log(_I * 2.0 ** -p) * (hs_hi - h_hi),
+            -g_lo,
+            2.0 * g_hi,
+            -2.0 * gs_hi,
+            gs_lo,
         ])
-        for ladder in (h_scaled, h_shifted, g_scaled, g_shifted):
-            ladder.step()
 
 
 def _id13_rhs(pt, policy, meter):

@@ -188,23 +188,25 @@ class CancellationMeter(CompensatedSum):
             self.peak = magnitude
 
     def add(self, term: complex) -> None:
+        """Add one term.  Raises SumOverflowError, leaving the meter as it
+        was, when the term or the running sum is not finite."""
         term = complex(term)
         tr, ti = term.real, term.imag
         if not (math.isfinite(tr) and math.isfinite(ti)):
             raise SumOverflowError("non-finite term fed to compensated sum")
         sr, si = self._sr, self._si
         nr = sr + tr
+        ni = si + ti
+        if not (math.isfinite(nr) and math.isfinite(ni)):
+            raise SumOverflowError("partial sum overflowed the double range")
         if abs(sr) >= abs(tr):
             self._cr += (sr - nr) + tr
         else:
             self._cr += (tr - nr) + sr
-        ni = si + ti
         if abs(si) >= abs(ti):
             self._ci += (si - ni) + ti
         else:
             self._ci += (ti - ni) + si
-        if not (math.isfinite(nr) and math.isfinite(ni)):
-            raise SumOverflowError("partial sum overflowed the double range")
         self._sr, self._si = nr, ni
         m = max(abs(tr), abs(ti), abs(nr), abs(ni))
         if m > self.peak:

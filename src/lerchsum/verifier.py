@@ -53,45 +53,41 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SampleStrategy:
-    """Deterministic point-drawing recipe for one identity.
+    """How many points to draw for an identity, and from which seed.
 
-    region maps each schema field to ((re_lo, re_hi), (im_lo, im_hi)), and
-    "n" to an inclusive integer range (lo, hi).  Fields listed in
-    integer_fields are drawn as integers from their real range.
+    Where they are drawn is the identity's own: its region, its domain
+    constraints, and the margin DEFAULT_POLE_MARGIN from every pole.
     """
 
     seed: int
     count: int
-    region: Mapping[str, tuple]
-    pole_margin: float = DEFAULT_POLE_MARGIN
-    integer_fields: frozenset = frozenset()
 
     def __post_init__(self):
         if self.count < 0:
             raise DomainError("count must be >= 0")
-        if not (self.pole_margin > 0):
-            raise DomainError("pole_margin must be > 0")
 
 
 def default_strategy(identity_id: str, count: int = 100,
                      seed: int = DEFAULT_SEED) -> SampleStrategy:
-    return SampleStrategy(seed=seed, count=count,
-                          region=get_identity(identity_id).region)
+    """count points from seed; an id not in the registry raises
+    UnknownIdentityError."""
+    get_identity(identity_id)
+    return SampleStrategy(seed=seed, count=count)
 
 
-def _draw_point(spec: IdentitySpec, strategy: SampleStrategy,
-                rng: random.Random) -> EvalPoint:
+def _draw_point(spec: IdentitySpec, rng: random.Random) -> EvalPoint:
+    """One draw from spec.region: "n" first, then the other fields in schema order."""
     values = {}
     if "n" in spec.schema:
-        lo, hi = strategy.region["n"]
-        values["n"] = rng.randint(int(lo), int(hi))
+        values["n"] = rng.randint(*spec.region["n"])
     for name in spec.schema:
         if name == "n":
             continue
-        (re_lo, re_hi), (im_lo, im_hi) = strategy.region[name]
-        if name in strategy.integer_fields:
-            values[name] = complex(rng.randint(int(re_lo), int(re_hi)), 0.0)
+        box = spec.region[name]
+        if isinstance(box[0], int):  # an inclusive integer range (lo, hi)
+            values[name] = complex(rng.randint(*box), 0.0)
             continue
+        (re_lo, re_hi), (im_lo, im_hi) = box
         re = rng.uniform(re_lo, re_hi)
         im = rng.uniform(im_lo, im_hi) if im_hi > im_lo else im_lo
         values[name] = complex(re, im)
@@ -102,22 +98,21 @@ def _draw_point(spec: IdentitySpec, strategy: SampleStrategy,
 
 def sample_points(spec: IdentitySpec, strategy: SampleStrategy) -> list:
     """Rejection-sample `count` in-domain points, deterministically from the seed."""
-    missing = set(spec.schema) - set(strategy.region)
+    missing = set(spec.schema) - set(spec.region)
     if missing:
-        raise DomainError(f"strategy region missing fields {sorted(missing)} "
-                          f"for {spec.id}")
+        raise DomainError(f"region missing fields {sorted(missing)} for {spec.id}")
     rng = random.Random(f"{strategy.seed}:{spec.id}")
     points = []
     for _ in range(strategy.count):
         for _attempt in range(1000):
-            candidate = _draw_point(spec, strategy, rng)
-            if spec.constraints(candidate, strategy.pole_margin):
+            candidate = _draw_point(spec, rng)
+            if spec.constraints(candidate, DEFAULT_POLE_MARGIN):
                 points.append(candidate)
                 break
         else:
             raise ConvergenceError(
                 f"sampling for {spec.id} exhausted 1000 rejection attempts; "
-                f"region too tight for pole_margin={strategy.pole_margin}"
+                f"region too tight for pole_margin={DEFAULT_POLE_MARGIN}"
             )
     return points
 
@@ -278,7 +273,7 @@ def run_suite(policy: PrecisionPolicy = PrecisionPolicy(),
     start = time.perf_counter()
     rows = []
     for spec in selected:
-        strategy = SampleStrategy(seed=seed, count=count, region=spec.region)
+        strategy = SampleStrategy(seed=seed, count=count)
         tol = tols.get(spec.id, spec.tol)
         results = verify_identity(spec, strategy, policy, tol=tol)
         rows.append(_summarize(spec, tol, results))

@@ -12,6 +12,10 @@ EULER_GAMMA_REF = 0.57721566490153286
 LN2 = math.log(2.0)
 HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Criterion 10 draws ID-14 at integer k in -2..3: k is declared as an
+# inclusive integer range, the way every region declares n.
+INTEGER_K_REGION = {"m": ((0.2, 2.5), (0.5, 2.0)), "k": (-2, 3), "n": (0, 8)}
+
 
 def alternating_series_limit(term, count=200, rounds=40):
     """Limit of sum_n term(n) for alternating slowly-varying terms, by
@@ -144,7 +148,7 @@ def seeded(seed):
 
 # ------------------------------------------------ per-term references
 # The registry's dyadic sides carry each ladder rung from term p to term
-# p + 1 (identities._Ladder).  These are the per-term transcriptions they
+# p + 1 (identities._rungs).  These are the per-term transcriptions they
 # replaced: every term evaluates all of its own rungs.  The carried sides
 # must equal them bit for bit.
 

@@ -9,6 +9,7 @@ n ~ 20; the suite's ID-12 row keeps the stated bound (see README).
 """
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ from lerchsum.report import dumps_csv, report_to_obj, strip_volatile
 from lerchsum.verifier import default_strategy
 from helpers import (
     HALF_LN_2PI,
+    INTEGER_K_REGION,
     alternating_series_limit,
     dyadic_tail_interval,
     gamma_product_oracle,
@@ -183,7 +185,7 @@ def test_criterion_08_limit_trend_gate():
     wrong_fails = 0
     for x in xs:
         limit = nielsen_limit(x)
-        products = {n: nielsen_partial_product(x, n, POLICY) for n in range(4, 13)}
+        products = {n: nielsen_partial_product(x, n) for n in range(4, 13)}
         errors = [abs(products[n] - limit) for n in range(4, 13)]
         monotone_all &= all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
         worst_raw = max(worst_raw, errors[-1])
@@ -217,13 +219,9 @@ def test_criterion_09_stieltjes_sum():
 
 
 def test_criterion_10_polylog_sum():
-    integer_strategy = SampleStrategy(
-        seed=SEED, count=100,
-        region={"m": ((0.2, 2.5), (0.5, 2.0)), "k": ((-2, 3), (0.0, 0.0)),
-                "n": (0, 8)},
-        integer_fields=frozenset({"k"}),
-    )
-    int_results = run("ID-14", 100, tol=1e-9, strategy=integer_strategy)
+    integer_k = dataclasses.replace(get_identity("ID-14"), region=INTEGER_K_REGION)
+    int_results = verify_identity(integer_k, SampleStrategy(seed=SEED, count=100),
+                                  POLICY, tol=1e-9)
     generic = default_strategy("ID-14", count=20, seed=SEED + 1)
     gen_results = run("ID-14", 20, tol=1e-9, strategy=generic)
     int_passes = sum(r.passed for r in int_results)
@@ -317,7 +315,7 @@ def _derived_value_checks():
     add(("ID-04 collapses to a^-s at z=0",
          abs(lhs - principal_pow(1.3, -2.0)) < 1e-13 and abs(lhs - rhs) < 1e-13))
 
-    probe = limit_probe(lambda n: nielsen_partial_product(0.3, n, POLICY), 12)
+    probe = limit_probe(lambda n: nielsen_partial_product(0.3, n), 12)
     target = nielsen_limit(0.3)
     errs = [abs(v - target) for v in probe.values[3:]]
     add(("truncated gamma-ratio product approaches its closed-form limit",

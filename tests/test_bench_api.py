@@ -1,0 +1,59 @@
+"""The package as the benchmark sees it: every name that bench/ wraps or
+calls exists, a traced suite run counts its calls, and the sampler count
+runs.  An edit to the package's API that would break a bench run fails
+here instead."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import lerchsum
+import lerchsum.cli  # noqa: F401 - binds lerchsum.cli and lerchsum.report
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LADDER_IDS = ("ID-07", "ID-08")  # both sides of each call log_gamma only
+
+
+@pytest.fixture
+def bench_path(monkeypatch):
+    """bench/ on the path: its modules import one another by name."""
+    monkeypatch.syspath_prepend(str(BENCH))
+
+
+def test_traced_names_exist(bench_path):
+    import tracing
+
+    for layer, names in tracing.SPAN_FUNCTIONS.items():
+        for name in names:
+            assert callable(getattr(getattr(lerchsum, layer), name)), f"{layer}.{name}"
+    for name in tracing.COUNTED_FUNCTIONS:
+        assert callable(getattr(lerchsum.numerics, name)), name
+    assert callable(lerchsum.numerics.CancellationMeter.add)
+
+
+def test_tracer_counts_log_gamma_in_a_suite_run(bench_path):
+    import tracing
+
+    original = lerchsum.identities.log_gamma
+    with tracing.Tracer(lerchsum) as tracer:
+        report = lerchsum.run_suite(count=2, ids=LADDER_IDS)
+    assert lerchsum.identities.log_gamma is original
+    assert report.all_passed
+    # per point: the two rung ladders of the left side, 2 (n + 2) calls,
+    # and two calls on the right side
+    expected = sum(2 * result.point.n + 6 for row in report.rows for result in row.results)
+    metrics = tracer.metrics()
+    assert metrics["functions.log_gamma.calls"] == (expected, "count")
+    for identity_id in LADDER_IDS:
+        assert metrics[f"identities.{identity_id}.side_s"][0] > 0.0
+
+
+def test_counted_sampling_runs(bench_path):
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    ids = bench_run.PHI_FREE_IDS
+    draws, accepts = bench_run.counted_sampling(lerchsum, 5, lerchsum.DEFAULT_SEED, ids)
+    assert accepts == 5 * len(ids)
+    assert draws >= accepts

@@ -49,12 +49,12 @@ def test_registry_modes():
     assert get_identity("ID-12").trend is not None
 
 
-def test_trend_gate_prefixes_equal_partial_products(policy):
+def test_trend_gate_prefixes_equal_partial_products():
     # one running product over p = 1..n_hi gives every P_n bit for bit
     gate = get_identity("ID-12").trend
     assert (gate.n_lo, gate.n_hi) == (4, 12)
     for x in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
-        expected = [nielsen_partial_product(x, n, policy) for n in range(4, 13)]
+        expected = [nielsen_partial_product(x, n) for n in range(4, 13)]
         assert gate.partial_products(x) == expected
 
 

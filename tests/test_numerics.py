@@ -135,8 +135,8 @@ def test_permutation_insensitivity():
 def test_meter_peak_tracks_partials():
     meter = CancellationMeter()
     meter.sum([1e6, -1e6, 1.0])
-    assert meter.peak >= 1e6
-    assert meter.value == pytest.approx(1.0)
+    assert meter.peak == 1e6
+    assert meter.value == 1.0
 
 
 def _block_sequences():
@@ -218,6 +218,15 @@ def test_add_block_raises_on_non_finite_sums(re, im):
         assert _state(acc) == before
         if cls is CancellationMeter:
             assert acc.peak == 4.0
+    # the same terms one add at a time: the failing add changes nothing
+    meter = CancellationMeter()
+    meter.add_block([3.0], [-4.0])
+    with pytest.raises(SumOverflowError):
+        for term in map(complex, re, im):
+            before = _state(meter), meter.peak
+            meter.add(term)
+    assert (_state(meter), meter.peak) == before
+    assert cmath.isfinite(meter.value)
 
 
 def test_add_block_of_nothing_changes_nothing():

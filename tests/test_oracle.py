@@ -165,10 +165,10 @@ def test_probe_requires_four_points():
         limit_probe(lambda n: 1.0, 3)
 
 
-def test_probe_nielsen_product_approaches_limit(policy):
+def test_probe_nielsen_product_approaches_limit():
     x = 0.3
     target = nielsen_limit(x)
-    probe = limit_probe(lambda n: nielsen_partial_product(x, n, policy), 12)
+    probe = limit_probe(lambda n: nielsen_partial_product(x, n), 12)
     errors = [abs(v - target) for v in probe.values[3:]]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     # tail shrinks roughly geometrically (factor ~ 1/2 per step)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -10,6 +12,7 @@ from lerchsum import (
     SampleStrategy,
     default_strategy,
     get_identity,
+    list_identities,
     mutated_spec,
     prudnikov_original,
     run_suite,
@@ -18,9 +21,24 @@ from lerchsum import (
 )
 from lerchsum.identities import IdentitySpec, SideExpr
 from lerchsum.report import dumps_csv, dumps_json, report_to_obj, strip_volatile
-from lerchsum.verifier import IdentityReport, SuiteReport, VerificationResult
+from lerchsum.verifier import (
+    DEFAULT_POLE_MARGIN,
+    DEFAULT_SEED,
+    IdentityReport,
+    SuiteReport,
+    VerificationResult,
+)
+
+from helpers import INTEGER_K_REGION
 
 TWO_PI = 2.0 * math.pi
+
+# SHA-256 of repr(sample_points(...)): every registry id's draws at
+# DEFAULT_SEED, count 100, and criterion 10's integer-k draws of ID-14
+SAMPLE_DIGESTS = {
+    "registry": "520f0be34ee3a98a4d233add9dcb62b5f4328a28377738c5ce397adb040c0d7a",
+    "integer_k": "63435fd2dfe1349e69bd1aa5cc759c2e1e9693d5c0a292c11436cc1af9af82c7",
+}
 
 
 # ------------------------------------------------------------------- sampling
@@ -39,32 +57,41 @@ def test_sampling_respects_pole_margins():
     for pt in sample_points(spec, strategy):
         m, n = complex(pt.m), pt.n
         # margin in m-units translates to a sine-magnitude floor at each scale
-        assert abs(math.sin(2.0 * m.real)) >= 2.0 * strategy.pole_margin * 0.63
+        assert abs(math.sin(2.0 * m.real)) >= 2.0 * DEFAULT_POLE_MARGIN * 0.63
         scale = 2.0 ** -n
-        assert abs(math.sin(scale * m.real)) >= scale * strategy.pole_margin * 0.63
+        assert abs(math.sin(scale * m.real)) >= scale * DEFAULT_POLE_MARGIN * 0.63
+
+
+def _digest(points) -> str:
+    return hashlib.sha256(repr(points).encode()).hexdigest()
+
+
+def test_sampler_draws_are_pinned():
+    registry = [sample_points(spec, default_strategy(spec.id, count=100, seed=DEFAULT_SEED))
+                for spec in list_identities()]
+    integer_k = dataclasses.replace(get_identity("ID-14"), region=INTEGER_K_REGION)
+    drawn = sample_points(integer_k, SampleStrategy(seed=DEFAULT_SEED, count=100))
+    assert {"registry": _digest(registry), "integer_k": _digest(drawn)} == SAMPLE_DIGESTS
 
 
 def test_sampling_count_zero_gives_empty():
     spec = get_identity("ID-02")
-    strategy = SampleStrategy(seed=1, count=0,
-                              region=default_strategy("ID-02").region)
-    assert sample_points(spec, strategy) == []
+    assert sample_points(spec, SampleStrategy(seed=1, count=0)) == []
 
 
 def test_sampling_exhaustion_error():
+    # no draw keeps a margin of 50 from the poles of ID-02's ladder
     spec = get_identity("ID-02")
-    strategy = SampleStrategy(seed=1, count=1, pole_margin=50.0,
-                              region=default_strategy("ID-02").region)
+    tight = dataclasses.replace(spec, constraints=lambda pt, margin: spec.constraints(pt, 50.0))
     with pytest.raises(ConvergenceError):
-        sample_points(spec, strategy)
+        sample_points(tight, SampleStrategy(seed=1, count=1))
 
 
 def test_sampling_region_must_cover_schema():
-    spec = get_identity("ID-03")
-    strategy = SampleStrategy(seed=1, count=1,
-                              region={"m": ((0.2, 2.5), (0.0, 0.0))})
+    spec = dataclasses.replace(get_identity("ID-03"),
+                               region={"m": ((0.2, 2.5), (0.0, 0.0))})
     with pytest.raises(DomainError):
-        sample_points(spec, strategy)
+        sample_points(spec, SampleStrategy(seed=1, count=1))
 
 
 def test_main_theorem_sampler_honors_log_guard():
@@ -136,7 +163,7 @@ def test_mod_2pi_i_mode_accepts_2pi_shifts(policy):
         constraints=lambda pt, margin: True,
         tol=1e-12, region={"x": ((0.0, 1.0), (0.0, 0.0))},
     )
-    strategy = SampleStrategy(seed=1, count=3, region=synthetic.region)
+    strategy = SampleStrategy(seed=1, count=3)
     results = verify_identity(synthetic, strategy, policy, tol=1e-12)
     assert all(r.passed and r.branch_integer == -1 for r in results)
     relative = IdentitySpec(
