@@ -138,8 +138,12 @@ def _eulerian(k: int, z: complex) -> complex:
     return e
 
 
-# Route costs in series terms, measured: a tail term costs about one head
-# term plus one Horner step per Eulerian coefficient.
+# Route costs in series terms: a tail term costs about one head term plus one
+# Horner step per Eulerian coefficient.  That was measured before the head was
+# summed in blocks; timed since (the CHANGES.md FOUND line on _tail_plan), a
+# tail term costs 3-4 us against about 1.6 us per head term.  The values stay:
+# re-pricing moves calls between routes, which belongs to one planner for all
+# routes (ROADMAP).
 _TAIL_TERM_COST = 1.0
 _HORNER_STEP_COST = 0.04
 # The tail's terms must shrink at least this fast.  Its remainder is about the
@@ -463,11 +467,15 @@ def hurwitz_zeta(
     zeta(s, a) = a^(-s) + zeta(s, a+1).  The direct sum and the corrections
     are added as one compensated block.  `policy` is ignored: the cut is
     fixed and there is no remainder estimate, so nothing is raised when
-    digits are lost.  Measured against mpmath (60 points per band,
-    |Im s| <= 20, Re a in [0.1, 5], |Im a| <= 3), the worst error relative
-    to max(1, |zeta|) is 9.2e-12 for Re s in (-1, 3), 2.4e-7 for
-    Re s in (-4, -1), 0.29 for Re s in (-8, -4) and 7.4e5 for
-    Re s in (-15, -8).
+    digits are lost.  Measured against mpmath in two draws of 60 random
+    points per band (|Im s| <= 20, Re a in [0.1, 5], |Im a| <= 3; both are
+    recorded in ROADMAP.md's zeta item), the worse draw's worst error
+    relative to max(1, |zeta|) is:
+
+        Re s in (-1, 3)     2.4e-11  (second draw; first 9.2e-12)
+        Re s in (-4, -1)    3.2e-7   (second draw; first 2.4e-7)
+        Re s in (-8, -4)    0.29     (first draw; second 9.4e-3)
+        Re s in (-15, -8)   1.6e6    (second draw; first 7.4e5)
     """
     s = _require_finite(s, "hurwitz_zeta argument s")
     a = _require_finite(a, "hurwitz_zeta argument a")

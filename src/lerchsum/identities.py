@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .functions import (
@@ -30,6 +31,7 @@ from .numerics import (
     DomainError,
     PoleError,
     PrecisionPolicy,
+    _fsum,
     principal_log,
     principal_pow,
 )
@@ -117,9 +119,9 @@ class TrendGate:
     product, so the whole trend costs n factors."""
 
     prefixes: Callable[[complex, int], Iterator[complex]]
-    n_lo: int = 4
-    n_hi: int = 12
-    final_tol: float = 1e-6
+    n_lo: int
+    n_hi: int
+    final_tol: float
 
     def partial_products(self, x: complex) -> list:
         """[P_n for n in n_lo..n_hi]."""
@@ -189,14 +191,17 @@ def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPol
 
 def _noted_sum(meter: CancellationMeter, parts: Sequence[complex],
                weight: float = 1.0) -> complex:
-    """Compensated sum of parts in a fresh accumulator.
+    """Correctly rounded sum of parts, real and imaginary parts apart.
 
-    Notes the sum's peak magnitude times weight into meter: the one place
-    where an inner sum's cancellation enters the conditioning estimate.
+    Notes the sum's peak, the largest part or running sum, times weight
+    into meter: the one place where an inner sum's cancellation enters the
+    conditioning estimate.
     """
-    local = CancellationMeter()
-    value = local.sum(parts)
-    meter.note(local.peak * weight)
+    re = [t.real for t in parts]
+    im = [t.imag for t in parts]
+    value = complex(_fsum(re), _fsum(im))
+    peak = max(map(abs, chain(re, im, accumulate(re), accumulate(im))), default=0.0)
+    meter.note(peak * weight)
     return value
 
 

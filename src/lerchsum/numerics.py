@@ -1,14 +1,15 @@
 """Double-precision complex building blocks.
 
 Everything downstream is built on two primitives: principal-branch log and
-power, and compensated summation.  Compensated sums come in two
-accumulators with the same value bit for bit.  ``CompensatedSum`` adds
-blocks of terms with exact ``math.fsum`` compensation and nothing else;
-the special functions use it whenever no caller asks for conditioning.
-``CancellationMeter`` also takes single terms (Neumaier steps) and records
-``peak``, the largest magnitude it has seen.  Only conditioning estimates
-read ``peak``: the verifier's, which scales its tolerances, and the
-benchmark's eval-mix result check.
+power, and compensated summation.  Every compensated sum follows one rule:
+its rounding error is computed exactly by ``math.fsum``.  A sum given all at
+once (``compensated_sum``, and the identities' inner sums) is the fsum of
+its real and of its imaginary parts.  A sum streamed in blocks
+(``CompensatedSum``) keeps the plain running sums plus the fsum of each
+block's rounding error.  ``CancellationMeter`` is a CompensatedSum that also
+records ``peak``, the largest term or running sum it has seen.  Only
+conditioning estimates read ``peak``: the verifier's, which scales its
+tolerances, and the benchmark's eval-mix result check.
 All values are plain Python ``complex``; overflow
 and NaN are error conditions, never results.
 """
@@ -111,15 +112,27 @@ def principal_pow(z: complex, s: complex) -> complex:
     return cmath.exp(s * principal_log(z))
 
 
+def _fsum(xs: Iterable[float]) -> float:
+    """Correctly rounded sum of xs by ``math.fsum``.
+
+    Raises SumOverflowError when a term is not finite or the sum overflows
+    the double range (fsum's OverflowError, ValueError or non-finite value).
+    """
+    try:
+        total = math.fsum(xs)
+    except (OverflowError, ValueError) as exc:
+        raise SumOverflowError("sum overflowed the double range") from exc
+    if not math.isfinite(total):
+        raise SumOverflowError("sum overflowed the double range")
+    return total
+
+
 class CompensatedSum:
     """Compensated accumulator of blocks of complex terms.
 
     ``add_block`` forms the sequential running sum of the block's terms and
     adds the block's rounding error, computed exactly by ``math.fsum``
     (Shewchuk, Discrete Comput. Geom. 18, 1997), to the compensation.
-    ``value`` is bit for bit the value that CancellationMeter.add_block
-    gives for the same blocks; this class only skips the partial-sum lists
-    that CancellationMeter needs for its ``peak``.
     """
 
     __slots__ = ("_sr", "_si", "_cr", "_ci")
@@ -140,18 +153,17 @@ class CompensatedSum:
         Raises SumOverflowError, leaving the sum as it was, when a term or a
         running sum is not finite.
         """
+        self._advance(re, im, reduce(add, re, self._sr), reduce(add, im, self._si))
+
+    def _advance(self, re: Sequence[float], im: Sequence[float], nr: float, ni: float) -> None:
+        """The block kernel: move the running sums to nr + ni*1j, the block's
+        sequential sums from the current state, and add the block's rounding
+        error to the compensation."""
         if len(re) != len(im):
             raise DomainError("add_block needs as many imaginary parts as real parts")
-        sr, si = self._sr, self._si
-        nr, ni = reduce(add, re, sr), reduce(add, im, si)
-        # a non-finite term or partial sum leaves every later partial sum non-finite
-        if not (math.isfinite(nr) and math.isfinite(ni)):
-            raise SumOverflowError("block of terms overflowed the double range")
-        try:
-            cr = math.fsum((sr, *re, -nr))
-            ci = math.fsum((si, *im, -ni))
-        except (OverflowError, ValueError) as exc:
-            raise SumOverflowError("block of terms overflowed the double range") from exc
+        # a non-finite term or running sum leaves _fsum no finite error to return
+        cr = _fsum((self._sr, *re, -nr))
+        ci = _fsum((self._si, *im, -ni))
         self._cr += cr
         self._ci += ci
         self._sr, self._si = nr, ni
@@ -160,27 +172,18 @@ class CompensatedSum:
 class CancellationMeter(CompensatedSum):
     """Compensated accumulator that remembers its largest excursion.
 
-    ``add`` takes one term with a Neumaier step.  ``add_block`` takes a block
-    of terms: it forms the same running sums as a loop of ``add`` and adds
-    the block's exact rounding error, as CompensatedSum.add_block does.
-    ``peak`` is the largest magnitude reached by any term or partial sum fed
-    through this meter, the same number either way; the verifier divides it
-    by the final result magnitude to get the conditioning estimate that
-    scales its tolerances.  Only such estimates read ``peak``, so the
-    special functions sum into a CompensatedSum unless a caller passes a
-    meter.
-    The constructor, ``add`` and ``add_block`` are written out in full
-    rather than calling CompensatedSum's: the extra call would slow each
-    meter, term and block (the verifier builds a meter per inner sum).
+    ``peak`` is the largest magnitude reached by any term or running sum fed
+    through this meter; the verifier divides it by the final result
+    magnitude to get the conditioning estimate that scales its tolerances.
+    Only such estimates read ``peak``, so the special functions sum into a
+    CompensatedSum unless a caller passes a meter.  The running sums and
+    compensation are CompensatedSum's, so the value is the same bit for bit.
     """
 
     __slots__ = ("peak",)
 
     def __init__(self):
-        self._sr = 0.0
-        self._si = 0.0
-        self._cr = 0.0
-        self._ci = 0.0
+        super().__init__()
         self.peak = 0.0
 
     def note(self, magnitude: float) -> None:
@@ -188,67 +191,22 @@ class CancellationMeter(CompensatedSum):
             self.peak = magnitude
 
     def add(self, term: complex) -> None:
-        """Add one term.  Raises SumOverflowError, leaving the meter as it
-        was, when the term or the running sum is not finite."""
+        """Add one term: a block of one."""
         term = complex(term)
-        tr, ti = term.real, term.imag
-        if not (math.isfinite(tr) and math.isfinite(ti)):
-            raise SumOverflowError("non-finite term fed to compensated sum")
-        sr, si = self._sr, self._si
-        nr = sr + tr
-        ni = si + ti
-        if not (math.isfinite(nr) and math.isfinite(ni)):
-            raise SumOverflowError("partial sum overflowed the double range")
-        if abs(sr) >= abs(tr):
-            self._cr += (sr - nr) + tr
-        else:
-            self._cr += (tr - nr) + sr
-        if abs(si) >= abs(ti):
-            self._ci += (si - ni) + ti
-        else:
-            self._ci += (ti - ni) + si
-        self._sr, self._si = nr, ni
-        m = max(abs(tr), abs(ti), abs(nr), abs(ni))
-        if m > self.peak:
-            self.peak = m
+        self.add_block((term.real,), (term.imag,))
 
     def add_block(self, re: Sequence[float], im: Sequence[float]) -> None:
-        """Add the terms re[i] + im[i]*1j, given as their real and imaginary parts.
-
-        Raises SumOverflowError, leaving the meter as it was, when a term or
-        a running sum is not finite.
-        """
-        if len(re) != len(im):
-            raise DomainError("add_block needs as many imaginary parts as real parts")
-        sr, si = self._sr, self._si
-        partial_r = list(accumulate(re, initial=sr))
-        partial_i = list(accumulate(im, initial=si))
-        nr, ni = partial_r[-1], partial_i[-1]
-        # a non-finite term or partial sum leaves every later partial sum non-finite
-        if not (math.isfinite(nr) and math.isfinite(ni)):
-            raise SumOverflowError("block of terms overflowed the double range")
-        try:
-            cr = math.fsum((sr, *re, -nr))
-            ci = math.fsum((si, *im, -ni))
-        except (OverflowError, ValueError) as exc:
-            raise SumOverflowError("block of terms overflowed the double range") from exc
-        self._cr += cr
-        self._ci += ci
-        self._sr, self._si = nr, ni
+        """CompensatedSum.add_block, noting the peak of the terms and running sums."""
+        partial_r = list(accumulate(re, initial=self._sr))
+        partial_i = list(accumulate(im, initial=self._si))
+        self._advance(re, im, partial_r[-1], partial_i[-1])
         m = max(map(abs, chain(re, im, partial_r, partial_i)))
         if m > self.peak:
             self.peak = m
 
-    def sum(self, terms: Iterable[complex]) -> complex:
-        for t in terms:
-            self.add(t)
-        return self.value
-
 
 def compensated_sum(terms: Sequence[complex]) -> complex:
-    """Compensated sum of a finite sequence of complex, real or int terms
-    (empty sum is 0), added as one CompensatedSum block."""
-    acc = CompensatedSum()
-    acc.add_block([t.real for t in terms], [t.imag for t in terms])
-    return acc.value
-
+    """Correctly rounded sum, part by part, of a finite sequence of complex,
+    real or int terms (empty sum is 0).  Raises SumOverflowError when a term
+    is not finite or a part overflows."""
+    return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))

@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 
 from lerchsum import DomainError, PrecisionPolicy, hurwitz_zeta
+from lerchsum.numerics import SumOverflowError
 
 EULER_GAMMA_REF = 0.57721566490153286
 LN2 = math.log(2.0)
@@ -144,6 +145,65 @@ def random_complex(rng, re_range, im_range):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ------------------------------------------------ compensated-sum oracle
+
+class NeumaierSum:
+    """One Neumaier step per term (Neumaier, ZAMM 54, 1974), with the peak
+    of every term and running sum: the per-term compensated sum that
+    numerics.CancellationMeter and the identities' inner sums used before
+    they took math.fsum's exact error.  Each step adds the exact rounding
+    error of one addition to the compensation, so a meter fed the same
+    terms one at a time must hold the same state bit for bit.
+    Attribute names follow CancellationMeter's, so both read alike."""
+
+    def __init__(self):
+        self._sr = self._si = self._cr = self._ci = self.peak = 0.0
+
+    @property
+    def value(self):
+        return complex(self._sr + self._cr, self._si + self._ci)
+
+    def add(self, term):
+        """Raises SumOverflowError, leaving the sum as it was, when the term
+        or the running sum is not finite."""
+        term = complex(term)
+        tr, ti = term.real, term.imag
+        if not (math.isfinite(tr) and math.isfinite(ti)):
+            raise SumOverflowError("non-finite term")
+        sr, si = self._sr, self._si
+        nr, ni = sr + tr, si + ti
+        if not (math.isfinite(nr) and math.isfinite(ni)):
+            raise SumOverflowError("running sum overflowed")
+        self._cr += (sr - nr) + tr if abs(sr) >= abs(tr) else (tr - nr) + sr
+        self._ci += (si - ni) + ti if abs(si) >= abs(ti) else (ti - ni) + si
+        self._sr, self._si = nr, ni
+        self.peak = max(self.peak, abs(tr), abs(ti), abs(nr), abs(ni))
+
+    def sum(self, terms):
+        for t in terms:
+            self.add(t)
+        return self.value
+
+
+def extreme_sequences(seed, count, length=40):
+    """Seeded complex sequences whose parts reach magnitudes near 1e-300 and
+    1e+300 (up to 1.78e308) and whose running sums now and then overflow the
+    double range: in half of them nine parts in ten are positive.  One part
+    in a hundred is inf, -inf or nan."""
+    rng = random.Random(seed)
+
+    def part(positive):
+        if rng.random() < 0.01:
+            return rng.choice((math.inf, -math.inf, math.nan))
+        band = rng.choice(((-308.0, -290.0), (-3.0, 3.0), (290.0, 306.0), (306.0, 307.25)))
+        sign = 1.0 if rng.random() < positive else -1.0
+        return sign * rng.uniform(1.0, 10.0) * 10.0 ** rng.uniform(*band)
+
+    for _ in range(count):
+        positive = rng.choice((0.5, 0.9))
+        yield [complex(part(positive), part(positive)) for _ in range(rng.randint(1, length))]
 
 
 # ------------------------------------------------ per-term references

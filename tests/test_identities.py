@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,10 +18,10 @@ from lerchsum import (
 )
 from lerchsum import identities
 from lerchsum.identities import SideEvaluationError, evaluate_side, side_terms
-from lerchsum.numerics import CancellationMeter
+from lerchsum.numerics import CancellationMeter, SumOverflowError
 from lerchsum.verifier import DEFAULT_POLE_MARGIN, default_strategy, sample_points
-from helpers import (PER_TERM_LHS, POLE_LADDERS, nielsen_prefixes_per_term,
-                     pole_ladder_check, seeded)
+from helpers import (PER_TERM_LHS, POLE_LADDERS, NeumaierSum, extreme_sequences,
+                     nielsen_prefixes_per_term, pole_ladder_check, seeded)
 
 PI = math.pi
 
@@ -151,6 +152,31 @@ def test_side_errors_carry_term_tags(policy):
         evaluate_side("lhs", spec.lhs, bad, tiny, meter)
     assert info.value.side == "lhs"
     assert info.value.term_index == 0
+
+
+def test_noted_sum_peak_equals_the_oracle_peak():
+    # An inner sum notes the largest part or running sum times its weight,
+    # the peak a Neumaier loop over the same parts records; its value is the
+    # exact sum rounded once, part by part.  Sums whose running sum overflows
+    # raise and note nothing.
+    rng = seeded(14)
+    raised = 0
+    for terms in extreme_sequences(1234, 2000, length=13):
+        weight = rng.uniform(0.1, 10.0)
+        meter, oracle = CancellationMeter(), NeumaierSum()
+        try:
+            oracle.sum(terms)
+        except SumOverflowError:
+            raised += 1
+            with pytest.raises(SumOverflowError):
+                identities._noted_sum(meter, terms, weight)
+            assert meter.peak == 0.0
+            continue
+        value = identities._noted_sum(meter, terms, weight)
+        assert meter.peak == oracle.peak * weight
+        assert value == complex(float(sum(map(Fraction, (t.real for t in terms)))),
+                                float(sum(map(Fraction, (t.imag for t in terms)))))
+    assert 100 < raised < 1900
 
 
 # ----------------------------------------------------------- structural facts

@@ -15,7 +15,7 @@ from lerchsum import (
     principal_pow,
 )
 from lerchsum.numerics import CancellationMeter, CompensatedSum, SumOverflowError
-from helpers import EvaluationError, richardson_derivative
+from helpers import EvaluationError, NeumaierSum, extreme_sequences, richardson_derivative
 
 EPS = 2.220446049250313e-16
 
@@ -133,10 +133,23 @@ def test_permutation_insensitivity():
 
 
 def test_meter_peak_tracks_partials():
+    oracle = NeumaierSum()
+    oracle.sum([1e6, -1e6, 1.0])
+    assert (oracle.peak, oracle.value) == (1e6, 1.0)
     meter = CancellationMeter()
-    meter.sum([1e6, -1e6, 1.0])
-    assert meter.peak == 1e6
-    assert meter.value == 1.0
+    meter.add_block([1e6, -1e6, 1.0], [0.0, 0.0, 0.0])
+    assert (meter.peak, meter.value) == (oracle.peak, oracle.value)
+
+
+def test_compensated_sum_is_correctly_rounded():
+    # float(Fraction) rounds the exact sum to nearest, ties to even
+    sequences = [terms for terms, _ in _block_sequences()]
+    sequences += [seq for seq in extreme_sequences(7, 300)
+                  if math.isfinite(sum(abs(t.real) + abs(t.imag) for t in seq))]
+    for terms in sequences:
+        total = compensated_sum(terms)
+        assert total.real == float(_exact(t.real for t in terms))
+        assert total.imag == float(_exact(t.imag for t in terms))
 
 
 def _block_sequences():
@@ -190,7 +203,7 @@ def test_add_block_matches_add_loop_exactly():
 def test_add_block_is_no_less_accurate_than_add_loop():
     for cls in ACCUMULATORS:
         for terms, size in _block_sequences():
-            loop, block = CancellationMeter(), cls()
+            loop, block = NeumaierSum(), cls()
             loop.sum(terms)
             for start in range(0, len(terms), size):
                 chunk = terms[start:start + size]
@@ -227,6 +240,30 @@ def test_add_block_raises_on_non_finite_sums(re, im):
             meter.add(term)
     assert (_state(meter), meter.peak) == before
     assert cmath.isfinite(meter.value)
+
+
+def test_meter_add_matches_neumaier_oracle():
+    # CancellationMeter.add is a block of one term; the Neumaier step adds
+    # the same exact error of one addition, so the two agree bit for bit in
+    # state and peak, and a SumOverflowError leaves both as they were.
+    raised = {True: 0, False: 0}  # keyed on whether the term was finite
+    for terms in extreme_sequences(20240601, 400):
+        meter, oracle = CancellationMeter(), NeumaierSum()
+        for term in terms:
+            before = _state(meter), meter.peak
+            try:
+                oracle.add(term)
+            except SumOverflowError:
+                raised[cmath.isfinite(term)] += 1
+                with pytest.raises(SumOverflowError):
+                    meter.add(term)
+                assert (_state(meter), meter.peak) == before
+            else:
+                meter.add(term)
+            assert _state(meter) == _state(oracle)
+            assert meter.peak == oracle.peak
+    # both paths are reached: a non-finite term, and an overflowing running sum
+    assert min(raised.values()) > 100
 
 
 def test_add_block_of_nothing_changes_nothing():
