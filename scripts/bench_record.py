@@ -2,7 +2,7 @@
 """Write the fixed-seed record that compares two checkouts (BENCH_*.json).
 
 Compares a parent checkout of this repository with a change (default: the
-checkout that holds this script), in six sections:
+checkout that holds this script), in eight sections:
 
 1. bench_pairs: alternating `bench/run.py` pairs of both workloads, one
    seed per pair (FIRST_BENCH_SEED, FIRST_BENCH_SEED + 1, ...), with
@@ -23,8 +23,17 @@ checkout that holds this script), in six sections:
 6. named_sets: the outcome, a value bit for bit or the exception raised,
    of `lerch_phi_integral` on the eval-mix integral calls at SEEDS and on
    the rim and wide sets (and their confirm sets), and of `hurwitz_zeta`
-   and `stieltjes_gamma1` on their sets.  mpmath, imported only then,
-   prices the points whose outcome moved.
+   and `stieltjes_gamma1` on their sets;
+7. phi_work: the series terms and tail terms that the eval-mix
+   `lerch_phi` and `polylog` calls sum at each of SEEDS, per call kind
+   (the |z| bands and polylog), and how many calls add the large-shift
+   tail.  Each call moved in section 2 is priced against mpmath, its
+   error set against rel_tol * max(1, cond) with the change's cond;
+8. phi_suite: `lerchsum suite --filter ID-01,ID-04,ID-14`, the three Phi
+   identities, timed at each of SEEDS.
+
+mpmath, imported only to price moved points or calls, gives the references
+at REF_DPS digits.
 
 Each checkout is imported only in a child process, which writes no
 bytecode.  Every timing is scaled by the checkout's `bench/speed.py` probe
@@ -76,6 +85,8 @@ METRICS = ("setup_s", "wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb
 PHI_FREE_IDS = ("ID-00", "ID-02", "ID-03", "ID-05", "ID-06", "ID-07", "ID-08",
                 "ID-09", "ID-10", "ID-11", "ID-12", "ID-13", "ID-15")
 REF_DPS = 30
+PHI_IDS = "ID-01,ID-04,ID-14"
+SUITE_PASSES = 3  # timed passes over the Phi identities in each interpreter
 CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 MISSING = object()
 
@@ -286,7 +297,89 @@ def _task_sets(seed: int) -> dict:
             for name, (fn, points) in named_sets(lerchsum, evalmix).items()}
 
 
-TASKS = {"calls": _task_calls, "sides": _task_sides, "suite": _task_suite, "sets": _task_sets}
+def phi_work(lerchsum, calls: list) -> list:
+    """For each `lerch_phi` or `polylog` call: its kind, arguments (hex),
+    result (hex), cond = meter peak / |Phi| (polylog's Phi is Li_s(z)/z), the
+    budget rel_tol * max(1, cond) of the default policy, under which the
+    calls run, the series and tail terms it sums, whether it adds a tail and
+    how many tails gave up (a tail that gives up adds no term).
+
+    The terms are counted by swapping `functions.CancellationMeter` for a
+    subclass that counts what its blocks add, and by wrapping
+    `functions._add_tail`; both names are looked up at call time."""
+    from lerchsum import functions
+
+    count = Counter()
+    meter_cls, add_tail = functions.CancellationMeter, functions._add_tail
+
+    class Counted(meter_cls):
+        __slots__ = ()
+
+        def add_block(self, re, im):
+            count["terms"] += len(re)
+            super().add_block(re, im)
+
+    def counted_tail(*args):
+        before = count["terms"]
+        added = add_tail(*args)
+        count["tail"] += count["terms"] - before
+        count["added" if added else "given_up"] += 1
+        return added
+
+    rows, rel_tol = [], lerchsum.PrecisionPolicy().rel_tol
+    functions.CancellationMeter, functions._add_tail = Counted, counted_tail
+    try:
+        for call in calls:
+            if call.fn not in ("lerch_phi", "polylog"):
+                continue
+            count.clear()
+            meter = meter_cls()
+            value = getattr(lerchsum, call.fn)(*call.args, meter=meter)
+            if call.fn == "lerch_phi":
+                params = call.args[0]
+                args, phi = (params.z, params.s, params.v), value
+            else:
+                args, phi = call.args, value / call.args[1]
+            cond = meter.peak / abs(phi)
+            rows.append({"kind": call.kind, "fn": call.fn,
+                         "args": hex_args(tuple(map(complex, args))),
+                         "result": hex_args((value,)), "cond": cond,
+                         "budget": rel_tol * max(1.0, cond),
+                         "tail_terms": count["tail"],
+                         "series_terms": count["terms"] - count["tail"],
+                         "tail_added": count["added"] > 0, "tails_given_up": count["given_up"]})
+    finally:
+        functions.CancellationMeter, functions._add_tail = meter_cls, add_tail
+    return rows
+
+
+def _task_phi_work(seed: int) -> list:
+    """phi_work over the eval-mix calls of one seed."""
+    import evalmix
+    import lerchsum
+
+    return phi_work(lerchsum, evalmix.make_calls(lerchsum, seed))
+
+
+def _task_phi_suite(seed: int) -> dict:
+    """`lerchsum suite --filter PHI_IDS` at every seed, SUITE_PASSES timed passes."""
+    from lerchsum.cli import main
+
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(suite_seed):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[str(suite_seed)] = main(["suite", "--seed", str(suite_seed), "--filter",
+                                               PHI_IDS, "--out", str(Path(tmp) / "r.json")])
+
+        _, times, scale = _timed([partial(run, s) for s in SEEDS], SUITE_PASSES, 1)
+    seconds = {str(s): scale * t for s, t in zip(SEEDS, times)}
+    return {"scale": scale, "seconds": dict(seconds, total=scale * sum(times)),
+            "exit_codes": codes}
+
+
+TASKS = {"calls": _task_calls, "sides": _task_sides, "suite": _task_suite, "sets": _task_sets,
+         "phi_work": _task_phi_work, "phi_suite": _task_phi_suite}
 
 
 def _child(task: str, root: Path, seed: int) -> dict:
@@ -407,8 +500,11 @@ def eval_mix_calls(roots: dict) -> dict:
             "calls": len(kinds),
             **_fastest_half({side: passes[side][seed] for side in SIDES}),
             "results_bit_identical": not moved,
+            "moved_per_kind": dict(sorted(Counter(kinds[i] for i in moved).items())),
+            # moved lerch_phi and polylog calls are priced in phi_work
             "moved_calls": [{"index": i, "kind": kinds[i], "parent": results[i],
-                             "change": changed[i]} for i in moved],
+                             "change": changed[i]} for i in moved
+                            if not kinds[i].startswith(("phi.", "polylog"))],
         }
     return record
 
@@ -469,17 +565,26 @@ def _reference(fn: str, args: tuple) -> complex:
 
     mpmath.mp.dps = REF_DPS
     args = [mpmath.mpc(c.real, c.imag) for c in args]
-    if fn == "lerch_phi_integral":
+    if fn in ("lerch_phi_integral", "lerch_phi"):
         return complex(mpmath.lerchphi(*args))
+    if fn == "polylog":
+        s, z = args
+        return complex(z * mpmath.lerchphi(z, s, 1))
     if fn == "hurwitz_zeta":
         return complex(mpmath.zeta(*args))
     return complex(mpmath.stieltjes(1, *args))
 
 
+def _unhex(pairs: list) -> tuple:
+    """The complex numbers whose parts hex_args wrote."""
+    return tuple(complex(float.fromhex(re), float.fromhex(im))
+                 for re, im in zip(pairs[::2], pairs[1::2]))
+
+
 def _abs_err(outcome, ref: complex):
     if isinstance(outcome, str):
         return None
-    return abs(complex(float.fromhex(outcome[0]), float.fromhex(outcome[1])) - ref)
+    return abs(_unhex(outcome)[0] - ref)
 
 
 def named_set_outcomes(roots: dict) -> dict:
@@ -493,8 +598,7 @@ def named_set_outcomes(roots: dict) -> dict:
         for args, p, c in zip(old["args"], old["outcomes"], new["outcomes"]):
             if p == c:
                 continue
-            point = tuple(complex(float.fromhex(re), float.fromhex(im))
-                          for re, im in zip(args[::2], args[1::2]))
+            point = _unhex(args)
             ref = _reference(old["fn"], point)
             moved.append({"args": [str(x) for x in point], "parent": p, "change": c,
                           "reference_abs": abs(ref),
@@ -506,6 +610,58 @@ def named_set_outcomes(roots: dict) -> dict:
                          for side, data in sides.items()},
             "moved": len(moved), "moved_points": moved}
     return record
+
+
+def phi_work_record(roots: dict) -> dict:
+    """Terms per call kind at each of SEEDS, and the moved calls priced."""
+    record = {}
+    for seed in SEEDS:
+        sides = {side: _run_child(roots[side], "phi_work", seed) for side in SIDES}
+        kinds = {}
+        for side, rows in sides.items():
+            for row in rows:
+                tally = kinds.setdefault(row["kind"], {s: Counter() for s in SIDES})[side]
+                tally.update(calls=1, series_terms=row["series_terms"],
+                             tail_terms=row["tail_terms"], tail_added=row["tail_added"],
+                             tails_given_up=row["tails_given_up"])
+        moved, over = defaultdict(list), []
+        for old, new in zip(sides["parent"], sides["change"]):
+            if old["args"] != new["args"]:
+                raise RuntimeError(f"seed {seed}: the two checkouts drew different calls")
+            if old["result"] == new["result"]:
+                continue
+            ref = _reference(old["fn"], _unhex(old["args"]))
+            rel = {side: abs(_unhex(row["result"])[0] - ref) / abs(ref)
+                   for side, row in (("parent", old), ("change", new))}
+            ratio = rel["change"] / new["budget"]
+            moved[old["kind"]].append((rel, ratio))
+            if ratio > 1.0:
+                over.append({"kind": old["kind"], "args": [str(x) for x in _unhex(old["args"])],
+                             "rel_err": rel, "cond": new["cond"]})
+        record[str(seed)] = {
+            "per_kind": {kind: {side: dict(t) for side, t in tallies.items()}
+                         for kind, tallies in sorted(kinds.items())},
+            "moved": {kind: {"calls": len(rows),
+                             "worst_rel_err": {side: max(rel[side] for rel, _ in rows)
+                                               for side in SIDES},
+                             "worst_err_over_budget": max(ratio for _, ratio in rows)}
+                      for kind, rows in sorted(moved.items())},
+            "moved_over_budget": over,
+        }
+    return record
+
+
+def phi_suite(roots: dict) -> dict:
+    codes = {}
+
+    def run(side, job, i):
+        out = _run_child(roots[side], "phi_suite")
+        codes.setdefault(side, out.pop("exit_codes"))
+        return out
+
+    passes = alternating(run, ("phi_suite",), PASSES)
+    return {"ids": PHI_IDS, "exit_codes": codes,
+            **_fastest_half({side: passes[side]["phi_suite"] for side in SIDES})}
 
 
 def main(argv=None) -> int:
@@ -542,6 +698,8 @@ def main(argv=None) -> int:
     record[f"traced_seed_{TRACE_SEED}"] = traced(roots)
     record[f"side_times_seed_{TRACE_SEED}"] = side_times(roots)
     record["named_sets"] = named_set_outcomes(roots)
+    record["phi_work"] = phi_work_record(roots)
+    record["phi_suite"] = phi_suite(roots)
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -138,78 +138,18 @@ def _eulerian(k: int, z: complex) -> complex:
     return e
 
 
-# Route costs in series terms: a tail term costs about one head term plus one
-# Horner step per Eulerian coefficient.  That was measured before the head was
-# summed in blocks; timed since (the CHANGES.md FOUND line on _tail_plan), a
-# tail term costs 3-4 us against about 1.6 us per head term.  The values stay:
-# re-pricing moves calls between routes, which belongs to one planner for all
-# routes (ROADMAP).
-_TAIL_TERM_COST = 1.0
-_HORNER_STEP_COST = 0.04
 # The tail's terms must shrink at least this fast.  Its remainder is about the
 # bound on the first omitted term (measured against mpmath: up to 0.8 of it),
 # so the tail aims under that bound by _TAIL_MARGIN, which keeps the route's
 # error below the series' (whose tail bound overestimates by 10^2 or more).
 _TAIL_RATIO = 0.5
 _TAIL_MARGIN = 1e-2
-
-
-def _tail_plan(z: complex, az: float, s: complex, v: complex,
-               policy: PrecisionPolicy):
-    """(N, K) for the head-plus-tail route, or None when the series is cheaper.
-
-    The series needs about ln(1/rel_tol) / -ln|z| terms for |z| < 1.  On
-    |z| = 1 (Re s > 1) its terms shrink only through (v+k)^(-s): the
-    integral-test tail N^(1-Re s)/(Re s - 1), times the factor
-    e^(|Im s| pi/2) of _sum_series's tail test, meets rel_tol near
-    N = exp((ln(1/rel_tol) + |Im s| pi/2 - ln(Re s - 1)) / (Re s - 1)).
-    The route sums N head terms and then K terms of the large-shift
-    expansion of the tail at w = v + N; its k-th term is at most
-    prod_{j<k} (|s|+j) / (|w| |1-z|)^k times the leading one, because the
-    Eulerian coefficients are nonnegative and sum to k!.  For each K the
-    smallest x = |w||1-z| that brings that product under
-    rel_tol * _TAIL_MARGIN (and keeps the next ratio under _TAIL_RATIO)
-    fixes N ~ x/|1-z|; K grows while the cost falls.
-    Only |z|, |1-z|, |s| and rel_tol enter the choice, and on |z| = 1 also
-    Re s and Im s; Re v only places N.
-    """
-    if az ** _TAIL_ROWS <= policy.rel_tol:
-        return None  # at most _TAIL_ROWS series terms: the tail cannot pay off
-    ln_tol = -math.log(policy.rel_tol)
-    if az < 1.0:
-        series = ln_tol / -math.log(az)
-    elif s.real > 1.0:
-        p = s.real - 1.0
-        series = math.exp(min(700.0, (ln_tol + abs(s.imag) * math.pi / 2.0
-                                      - math.log(p)) / p))
-    else:
-        series = math.inf
-    d = abs(1.0 - z)
-    ln_tol -= math.log(_TAIL_MARGIN)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
-        # nonpositive integer s: the expansion stops at k = -s and is exact
-        # for any w, so no head is needed (and s = 0 would take log 0 below)
-        k = int(-s.real)
-        if k >= _TAIL_ROWS or k + 1 > policy.max_terms:
-            return None
-        cost = k * (_TAIL_TERM_COST + 0.5 * k * _HORNER_STEP_COST)
-        return (0, k) if cost < series else None
-    a = abs(s)
-    best, plan, log_prod = math.inf, None, 0.0
-    for k in range(1, _TAIL_ROWS):
-        log_prod += math.log(a + k - 1)
-        x = max(math.exp((log_prod + ln_tol) / k), (a + k) / _TAIL_RATIO)
-        cost = x / d + k * (_TAIL_TERM_COST + 0.5 * k * _HORNER_STEP_COST)
-        if cost >= best:
-            break
-        best, plan = cost, (x, k)
-    if plan is None or best >= series:
-        return None
-    x, k = plan
-    head = max(0, math.ceil(x / d - v.real))
-    if head + k + 1 > policy.max_terms:
-        return None
-    return head, k
+# What a tail term costs, in series terms.  Timed on a 2-core x86 VM under
+# CPython 3.11: 2-4 us per tail term, its Horner row and its share of
+# _add_tail's setup included, against 1.0-1.4 us per block-summed series
+# term.  The eval-mix Phi and polylog calls took 11-12% less time than with
+# the plan made before summing for any price from 1 to 5.
+_TAIL_TERM_PRICE = 2.5
 
 
 def _add_tail(acc: CompensatedSum, zpow: complex, z: complex, s: complex,
@@ -221,8 +161,8 @@ def _add_tail(acc: CompensatedSum, zpow: complex, z: complex, s: complex,
     bounds it (|E_k(z)| <= 1 on the closed disk).  Stops once that bound on
     the next term falls under rel_tol * _TAIL_MARGIN times the running sum
     (it is 0 past a terminating expansion), and adds the terms as one block.
-    Returns False, adding nothing, if past the planned `terms` the terms stop
-    shrinking first.
+    Returns False, adding nothing, if past the expected `terms` the terms
+    stop shrinking first.
     """
     one_minus = 1.0 - z
     y = 1.0 / (w * one_minus)
@@ -247,14 +187,40 @@ def _add_tail(acc: CompensatedSum, zpow: complex, z: complex, s: complex,
     return False
 
 
+def _hand_over(acc: CompensatedSum, zpow: complex, z: complex, s: complex,
+               w: complex, rest: float, scale: float, policy: PrecisionPolicy) -> bool:
+    """Add the tail z^N Phi(z, s, w) to acc with _add_tail if its terms cost
+    less than `rest` series terms; False, adding nothing, if they do not or
+    the tail gives up.
+
+    The number K of tail terms is predicted on magnitudes alone, from the
+    bound of _add_tail's docstring against `scale`, the running sum: the
+    least K at which that bound meets its stop test, with each term at most
+    _TAIL_RATIO times the one before until then.  K costs K *
+    _TAIL_TERM_PRICE series terms.
+    """
+    x = abs(w) * abs(1.0 - z)
+    bound = abs(zpow * z * cmath.exp(-s * cmath.log(w)) / (1.0 - z))
+    target = _TAIL_MARGIN * policy.rel_tol * scale
+    for k in range(1, int(min(_TAIL_ROWS, rest / _TAIL_TERM_PRICE))):
+        ratio = abs(s + (k - 1)) / x
+        bound *= ratio
+        if bound <= target:
+            return _add_tail(acc, zpow, z, s, w, k, policy)
+        if ratio > _TAIL_RATIO:
+            return False
+    return False
+
+
 _BLOCK = 32  # series terms summed per add_block call
 
 
-def _sum_series(acc: CompensatedSum, z: complex, az: float, s: complex,
-                v: complex, policy: PrecisionPolicy, head: Optional[int]) -> complex:
-    """Feed the series terms into acc in blocks of up to _BLOCK: the first
-    `head` terms, or (head None) until the tail bound of lerch_phi's docstring
-    is met at a block end.  Returns z^N for the N terms summed."""
+def _sum_series(acc: CompensatedSum, z: complex, s: complex, v: complex,
+                policy: PrecisionPolicy) -> None:
+    """Feed Phi into acc as lerch_phi's docstring says: the series in blocks
+    of up to _BLOCK until its tail bound is met or _hand_over adds the rest
+    as the large-shift tail, or, at nonpositive integer s, the tail alone."""
+    az = abs(z)
     if v.imag == 0.0:
         # cmath.log gives arg = -pi at Im = -0.0, principal_log's branch +pi;
         # from Python 3.14 on, v + k keeps the sign of a zero imaginary part
@@ -262,23 +228,34 @@ def _sum_series(acc: CompensatedSum, z: complex, az: float, s: complex,
     on_circle = az >= 1.0
     rs, is_ = s.real, s.imag
     cs_arg = abs(is_) * math.pi / 2.0
+    ln_az = math.log(az)
     # modulus-growth lookahead: later terms exceed |t_N| by at most
     # (1 + d*/|v+N|)^{|Re s|} at the geometric horizon d* ~ |Re s| / -ln|z|
-    d_star = 1.0 if on_circle else max(1.0, abs(rs) / max(1e-300, -math.log(az)))
-    stop, first_check = (policy.max_terms, 4) if head is None else (head, head)
+    d_star = 1.0 if on_circle else max(1.0, abs(rs) / max(1e-300, -ln_az))
+    # with at most _TAIL_ROWS series terms to go, the tail cannot pay off
+    hand_over = az ** _TAIL_ROWS > policy.rel_tol
+    if hand_over:
+        k = -rs
+        if (is_ == 0.0 and 0.0 <= k < _TAIL_ROWS and k == round(k)
+                and k * _TAIL_TERM_PRICE < math.log(policy.rel_tol) / ln_az
+                and _add_tail(acc, 1.0 + 0j, z, s, v, int(k), policy)):
+            return  # the expansion stops at k = -s, exact at any w: no head
+        # the tail's first ratio |s|/(|w||1-z|) is within _TAIL_RATIO from
+        # Re w = reach on
+        reach = abs(s) / (_TAIL_RATIO * abs(1.0 - z))
 
     exp, log, minus_s = cmath.exp, cmath.log, -s
     zpow = 1.0 + 0j
     n = 0
-    while n < stop:
-        m = min(_BLOCK, stop - n)
+    while n < policy.max_terms:
+        m = min(_BLOCK, policy.max_terms - n)
         zpows = list(accumulate(repeat(z, m - 1), mul, initial=zpow))
         powfacs = [exp(minus_s * log(v + k)) for k in range(n, n + m)]
         terms = list(map(mul, powfacs, zpows))
         acc.add_block([t.real for t in terms], [t.imag for t in terms])
         n += m
         zpow = zpows[-1] * z
-        if n > first_check:
+        if n > 4:
             aw = abs(v + (n - 1))
             c_s = math.exp(cs_arg + abs(rs) * max(0.0, -math.log(aw)))
             scale = max(abs(acc.value), policy.abs_tol)
@@ -289,13 +266,20 @@ def _sum_series(acc: CompensatedSum, z: complex, az: float, s: complex,
                 growth = (1.0 + d_star / aw) ** abs(rs)
                 tail = az ** n / (1.0 - az) * abs(powfacs[-1]) * growth
             if tail * c_s <= policy.rel_tol * scale:
-                return zpow
-    if head is None:
-        raise ConvergenceError(
-            f"Phi series did not converge within {policy.max_terms} terms "
-            f"(|z|={az:.6g})"
-        )
-    return zpow
+                return
+            if hand_over and v.real + n >= reach:
+                # the series' predicted remainder, in terms
+                ln_q = math.log(tail * c_s / (policy.rel_tol * scale))
+                if on_circle:
+                    rest = aw * math.expm1(min(700.0, ln_q / (rs - 1.0)))
+                else:
+                    rest = ln_q / -ln_az
+                if _hand_over(acc, zpow, z, s, v + n, rest, scale, policy):
+                    return
+    raise ConvergenceError(
+        f"Phi series did not converge within {policy.max_terms} terms "
+        f"(|z|={az:.6g})"
+    )
 
 
 def lerch_phi(
@@ -303,53 +287,54 @@ def lerch_phi(
     policy: PrecisionPolicy = PrecisionPolicy(),
     meter: Optional[CancellationMeter] = None,
 ) -> complex:
-    """Phi by compensated summation: the direct series, or a head plus tail.
+    """Phi by compensated summation: the direct series, handed over to the
+    large-shift tail at a block end when that is cheaper.
 
-    Series route: sums the defining series in blocks of up to 32 terms and
-    truncates at the first block end, term N, whose geometric tail bound
+    The series is summed in blocks of up to 32 terms.  At each block end,
+    term N, it stops if its geometric tail bound
     |z|^(N+1)/(1-|z|) * |(v+N)^(-s)| * C_s * G falls below
     rel_tol * |partial sum|, where C_s = exp(|Im s| pi/2 + |Re s| max(0, -ln|v+N|))
     guards the arg/modulus swing of the power factor and G bounds the modulus
     growth of later terms when Re(s) < 0.  It needs ~ln(1/rel_tol)/(1-|z|)
     terms, too many near |z| = 1.
 
-    Head-plus-tail route: the same loop stops after a fixed N terms, and
-    z^N Phi(z, s, w) at w = v+N is added from its large-shift expansion
-    sum_k C(-s,k) w^(-s-k) Li_{-k}(z), with Li_0 read as 1/(1-z) and
-    Li_{-k}(z) = z A_k(z)/(1-z)^(k+1) for the Eulerian polynomial A_k
-    (Watson's lemma on the integral of lerch_phi_integral; Ferreira & Lopez,
-    J. Math. Anal. Appl. 298 (2004)).  Since |Li_{-k}(z)| <= k!/|1-z|^(k+1),
-    each term is at most (|s|+k)/(|w||1-z|) times the one before; the sum
-    terminates at k = -s for nonpositive integer s.  _tail_plan picks N and
-    the term count K from |z|, |1-z|, s and rel_tol before any term is
-    summed, and takes the route only when N + K costs less than the series'
-    predicted length and fits policy.max_terms.  The tail stops once the
-    bound on its next term falls below rel_tol/100 * |partial sum| (the
-    remainder is about that bound, so the margin keeps the route at least as
-    accurate as the series).  If its terms stop shrinking first, which
-    happens only near a zero of Phi, the series runs instead.
+    If it does not stop, the rest z^N Phi(z, s, w) at w = v+N may be added
+    from its large-shift expansion sum_k C(-s,k) w^(-s-k) Li_{-k}(z), with
+    Li_0 read as 1/(1-z) and Li_{-k}(z) = z A_k(z)/(1-z)^(k+1) for the
+    Eulerian polynomial A_k (Watson's lemma on the integral of
+    lerch_phi_integral; Ferreira & Lopez, J. Math. Anal. Appl. 298 (2004)).
+    Since |Li_{-k}(z)| <= k!/|1-z|^(k+1), each term is at most
+    (|s|+k)/(|w||1-z|) times the one before.  The series hands over where
+    that ratio is at most 1/2 for k = 0 (with Re w in place of |w|), and
+    where the K tail terms that meet the tail's stop test against the
+    running sum, predicted from these magnitudes, cost less than the series'
+    predicted remainder: ln q / -ln|z| terms for |z| < 1, where q is the
+    tail bound over rel_tol * |partial sum|, and on |z| = 1 (Re s > 1) the
+    terms that shrink the integral-test bound |v+N|^(1-Re s)/(Re s - 1) by
+    q.  A tail term costs _TAIL_TERM_PRICE series terms.  No check runs
+    where |z|^64 <= rel_tol, where the series needs at most 64 terms.
 
-    Head and tail share one accumulator: a CancellationMeter, whose peak is
-    noted into `meter`, when a meter is given, and otherwise a
+    The tail stops once the bound on its next term falls below
+    rel_tol/100 * |partial sum| (its remainder is about that bound, so the
+    margin keeps it at least as accurate as the series).  If its terms stop
+    shrinking first, which happens where the partial sum cancels against
+    the tail, as near a zero of Phi, it adds nothing and the series goes on
+    to the next block end.  At a nonpositive integer s the expansion stops
+    at k = -s and is exact, so it is taken from w = v with no series term,
+    when its -s terms cost less than the series' predicted length.
+
+    Series and tail share one accumulator: a CancellationMeter, whose peak
+    is noted into `meter`, when a meter is given, and otherwise a
     CompensatedSum, which gives the same value bit for bit without tracking
-    the peak.  Raises ConvergenceError if policy.max_terms is exhausted.
+    the peak.  Raises ConvergenceError if policy.max_terms series terms are
+    summed first.
     """
     z, s, v = params.validate_series()
     if z == 0:
         return principal_pow(v, -s)
 
-    az = abs(z)
-    accumulator = CompensatedSum if meter is None else CancellationMeter
-    plan = _tail_plan(z, az, s, v, policy)
-    if plan is not None:
-        acc = accumulator()
-        zpow = _sum_series(acc, z, az, s, v, policy, plan[0])
-        if _add_tail(acc, zpow, z, s, v + plan[0], plan[1], policy):
-            if meter is not None:
-                meter.note(acc.peak)
-            return acc.value
-    acc = accumulator()
-    _sum_series(acc, z, az, s, v, policy, None)
+    acc = CompensatedSum() if meter is None else CancellationMeter()
+    _sum_series(acc, z, s, v, policy)
     if meter is not None:
         meter.note(acc.peak)
     return acc.value

@@ -197,6 +197,18 @@ def _noted_sum(meter: CancellationMeter, parts: Sequence[complex],
     into meter: the one place where an inner sum's cancellation enters the
     conditioning estimate.
     """
+    if len(parts) <= 2:
+        # up to two parts, fsum is one correctly rounded addition, and the
+        # running sums are the parts and the total.  Summing from +0.0 gives
+        # fsum's 0.0 where the parts are -0.0; a sum that is not finite
+        # raises below.
+        total = sum(parts, 0j)
+        if cmath.isfinite(total):
+            peak = max(abs(total.real), abs(total.imag))
+            for t in parts:
+                peak = max(peak, abs(t.real), abs(t.imag))
+            meter.note(peak * weight)
+            return total
     re = [t.real for t in parts]
     im = [t.imag for t in parts]
     value = complex(_fsum(re), _fsum(im))

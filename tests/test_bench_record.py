@@ -96,3 +96,28 @@ def test_single_bench_pair_is_rejected(bench_record, tmp_path, capsys):
         bench_record.main(["--parent", str(tmp_path), "--pairs", "1"])
     assert exc.value.code == 2
     assert "--pairs" in capsys.readouterr().err
+
+
+def test_phi_work_counts_series_and_tail_terms(bench_record, monkeypatch):
+    # a series-only call, a call that adds the tail and a polylog; counting
+    # leaves the values as they are and restores the counted names
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import evalmix
+    from lerchsum import functions
+
+    calls = [evalmix.Call("phi.inner", "lerch_phi", (lerchsum.LerchParams(0.3 + 0.2j, 1.5, 1.2),)),
+             evalmix.Call("phi.rim", "lerch_phi",
+                          (lerchsum.LerchParams(0.995j, 1.5 - 0.5j, 1.2 + 0.3j),)),
+             evalmix.Call("polylog", "polylog", (2.0 + 0j, 0.8 + 0j)),
+             evalmix.Call("hurwitz_zeta", "hurwitz_zeta", (2.0 + 0j, 1.0 + 0j))]
+    names = (functions.CancellationMeter, functions._add_tail)
+    rows = bench_record.phi_work(lerchsum, calls)
+    assert (functions.CancellationMeter, functions._add_tail) == names
+    assert [row["kind"] for row in rows] == ["phi.inner", "phi.rim", "polylog"]
+    for row, call in zip(rows, calls):
+        value = getattr(lerchsum, call.fn)(*call.args)
+        assert row["result"] == bench_record.hex_args((value,))
+        assert row["series_terms"] > 0 and row["cond"] > 0.0
+    assert (rows[0]["tail_terms"], rows[0]["tail_added"]) == (0, False)
+    assert rows[1]["tail_terms"] > 0 and rows[1]["tail_added"]
+    assert rows[1]["args"] == bench_record.hex_args((0.995j, 1.5 - 0.5j, 1.2 + 0.3j))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from lerchsum import (
     stieltjes_gamma1,
 )
 from lerchsum import functions
-from lerchsum.functions import _eulerian, _tail_plan, closed_kernel_terms
+from lerchsum.functions import _eulerian, closed_kernel_terms
 from lerchsum.numerics import CancellationMeter
 from lerchsum.oracle import phi_series_bruteforce
 from helpers import (
@@ -72,15 +73,15 @@ def test_phi_domain_errors(policy):
         lerch_phi(LerchParams(0.5, 2.0, 0.0), policy)
     with pytest.raises(PoleError):
         lerch_phi(LerchParams(0.5, 2.0, -3.0), policy)
-    for z in (0.5, 0.99j):  # the series route and the head-plus-tail route
+    for z in (0.5, 0.99j):  # a series point and a point that hands over
         with pytest.raises(DomainError):
             lerch_phi(LerchParams(z, 2.0, complex(1.0, math.inf)), policy)
 
 
 def test_phi_on_circle_needs_large_s(policy):
     # on |z| = 1 the series' absolute tail decays like n^(1-Re s), so it would
-    # need ~1e10 terms for 1e-10; the head-plus-tail route meets the default
-    # policy in a few dozen
+    # need ~1e10 terms for 1e-10; handed over to the tail after a block, it
+    # meets the default policy in a few dozen
     value = lerch_phi(LerchParams(-1.0, 2.0, 1.0), policy)
     assert abs(value - PI * PI / 12.0) <= 2.0 * policy.rel_tol * PI * PI / 12.0
     loose = PrecisionPolicy(rel_tol=1e-5)
@@ -88,8 +89,8 @@ def test_phi_on_circle_needs_large_s(policy):
     assert value == pytest.approx(PI * PI / 12.0, rel=1e-4)
     with pytest.raises(DomainError):
         lerch_phi(LerchParams(-1.0, 0.5, 1.0), policy)
-    # near z = 1 the route needs a head of ~x/|1-z| terms: over 1000 here,
-    # so the series runs and exhausts the budget
+    # near z = 1 the tail's terms shrink fast enough only from w of about
+    # x/|1-z|: over 1000 here, so the series exhausts the budget
     with pytest.raises(ConvergenceError):
         lerch_phi(LerchParams(cmath.exp(0.01j), 2.0, 1.0), PrecisionPolicy(max_terms=1000))
 
@@ -102,23 +103,56 @@ def _bernoulli_poly(n, x):
     return sum(math.comb(n, k) * b[k] * x ** (n - k) for k in range(n + 1))
 
 
-def test_phi_series_priced_on_unit_circle(policy):
+@pytest.fixture
+def tail_outcomes(monkeypatch):
+    """What every _add_tail call returned: True where it added the tail,
+    False where its terms stopped shrinking and it added nothing."""
+    outcomes, add_tail = [], functions._add_tail
+
+    def spy(*args):
+        outcomes.append(add_tail(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(functions, "_add_tail", spy)
+    return outcomes
+
+
+def _hands_over(outcomes, phi, *args):
+    """(phi(*args), whether it added the large-shift tail)."""
+    before = len(outcomes)
+    value = phi(*args)
+    return value, True in outcomes[before:]
+
+
+def test_phi_series_priced_on_unit_circle(policy, tail_outcomes):
     # on |z| = 1 the series converges through (v+k)^(-s) alone; at large Re s
-    # that takes a few dozen terms, so it beats a head of thousands
+    # that takes a few blocks, and the tail's first ratio |s|/(|w||1-z|)
+    # stays over _TAIL_RATIO until w reaches 2|s|/|1-z| = 1200 and 2400
     theta = 0.01
     z = cmath.exp(1j * theta)
     x = Fraction(theta / (2.0 * PI))
     for n in (3, 6):
         s = complex(2 * n)
-        assert _tail_plan(z, abs(z), s, 1.0 + 0j, policy) is None
         # Re Li_2n(e^(i theta)) = sum cos(k theta)/k^2n (DLMF 24.8.1)
         exact = ((-1) ** (n + 1) * (2.0 * PI) ** (2 * n)
                  * float(_bernoulli_poly(2 * n, x)) / (2.0 * math.factorial(2 * n)))
         value = (z * lerch_phi(LerchParams(z, s, 1.0), policy)).real
         assert abs(value - exact) <= 1e-10 * abs(exact)
+    assert tail_outcomes == []
     # the series' tail test carries a factor e^(|Im s| pi/2), so at s = 4+3i
-    # the series costs more than the head-plus-tail route
-    assert _tail_plan(z, abs(z), 4.0 + 3.0j, 1.0 + 0j, policy) is not None
+    # the series' predicted remainder is dearer than the tail's terms
+    s = 4.0 + 3.0j
+    value, handed = _hands_over(tail_outcomes, lerch_phi, LerchParams(z, s, 1.0), policy)
+    assert handed
+    series = phi_series_alone(LerchParams(z, s, 1.0), policy)
+    assert abs(value - series) <= 1e-10 * abs(series)
+
+
+def phi_series_alone(params, policy):
+    """lerch_phi with the large-shift tail switched off: the series alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functions, "_add_tail", lambda *args: False)
+        return lerch_phi(params, policy)
 
 
 def test_phi_max_terms_exhaustion():
@@ -131,7 +165,7 @@ def test_phi_series_keeps_principal_branch_at_negative_zero_imaginary_v(policy):
     # (v+n)^(-s) on the negative real axis takes arg(v+n) = +pi, also when the
     # imaginary part of v is -0.0 (cmath.log alone would take -pi there)
     s = 1.5 + 0.5j
-    for z in (0.5, 0.3 - 0.4j, cmath.rect(0.98, 1.0)):  # the last is routed
+    for z in (0.5, 0.3 - 0.4j, cmath.rect(0.98, 1.0)):  # the last hands over
         minus = lerch_phi(LerchParams(z, s, complex(-2.5, -0.0)), policy)
         plus = lerch_phi(LerchParams(z, s, complex(-2.5, 0.0)), policy)
         assert minus == plus
@@ -139,29 +173,43 @@ def test_phi_series_keeps_principal_branch_at_negative_zero_imaginary_v(policy):
         assert abs(minus - ref.value) <= 1e-11 * abs(ref.value)
 
 
-def test_phi_series_head_sums_exactly_head_terms(policy):
-    # 77 is not a multiple of the block length
+def test_phi_series_head_sums_exactly_head_terms(policy, monkeypatch):
+    # the series hands over at a block end: the head is whole blocks, and the
+    # tail starts from z^N at w = v + N
     z, s, v = 0.9 * cmath.exp(0.7j), -1.2 + 2.0j, complex(-2.5, -0.0)
-    acc = CancellationMeter()
-    zpow = functions._sum_series(acc, z, abs(z), s, v, policy, 77)
-    ref = phi_series_bruteforce(LerchParams(z, s, v), 77).value
-    assert abs(acc.value - ref) <= 1e-14 * acc.peak
-    assert abs(zpow - z ** 77) <= 1e-14 * abs(z ** 77)
+    heads, add_tail = [], functions._add_tail
+
+    def spy(acc, zpow, z, s, w, terms, policy):
+        heads.append((acc.value, acc.peak, zpow, w))
+        return add_tail(acc, zpow, z, s, w, terms, policy)
+
+    monkeypatch.setattr(functions, "_add_tail", spy)
+    lerch_phi(LerchParams(z, s, v), policy, CancellationMeter())
+    assert len(heads) == 1
+    head, peak, zpow, w = heads[0]
+    n = round((w - v).real)
+    assert w == v + n and n > 0 and n % functions._BLOCK == 0
+    ref = phi_series_bruteforce(LerchParams(z, s, v), n).value
+    assert abs(head - ref) <= 1e-14 * peak
+    assert abs(zpow - z ** n) <= 1e-14 * abs(z ** n)
 
 
-def test_phi_series_stops_at_max_terms_between_block_ends():
-    # max_terms = 1000 is not a multiple of the block length; neither point
-    # takes the head-plus-tail route
+def test_phi_series_stops_at_max_terms_between_block_ends(tail_outcomes):
+    # max_terms = 1000 is not a multiple of the block length
     budget = PrecisionPolicy(max_terms=1000)
     s, v = 1.5 + 0.5j, 1.3
-    assert _tail_plan(0.999 + 0j, 0.999, s, complex(v), budget) is None
+    # at 0.999 the tail's terms do not shrink fast enough within 1000 terms
     with pytest.raises(ConvergenceError):
         lerch_phi(LerchParams(0.999, s, v), budget)
-    # the series meets rel_tol at term 999 here, inside the last, short block
-    assert _tail_plan(0.9829 + 0j, 0.9829, s, complex(v), budget) is None
-    value = lerch_phi(LerchParams(0.9829, s, v), budget)
-    ref = phi_series_bruteforce(LerchParams(0.9829, s, v), 1000).value
+    assert tail_outcomes == []
+    # the series alone meets rel_tol at term 999 here, inside the last,
+    # short block (lerch_phi hands over before)
+    params = LerchParams(0.9829, s, v)
+    value = phi_series_alone(params, budget)
+    ref = phi_series_bruteforce(params, 1000).value
     assert abs(value - ref) <= 1e-13 * abs(ref)
+    with pytest.raises(ConvergenceError):
+        phi_series_alone(params, PrecisionPolicy(max_terms=998))
 
 
 def test_phi_recurrence_200_points(policy):
@@ -175,7 +223,7 @@ def test_phi_recurrence_200_points(policy):
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1e-12)
 
 
-# ------------------------------------------- lerch_phi head-plus-tail route
+# ------------------------------------------- lerch_phi hand-over to the tail
 
 def _bruteforce_reference(params):
     terms = 1024
@@ -186,10 +234,10 @@ def _bruteforce_reference(params):
         terms *= 2
 
 
-def test_tail_route_agrees_with_bruteforce_300_points(policy):
+def test_tail_route_agrees_with_bruteforce_300_points(policy, tail_outcomes):
     # the ranges and budget of test_bruteforce_agrees_with_fast_path_500_points,
-    # moved out to 0.9 <= |z| <= 0.99, where the route is cheaper unless z is
-    # close to 1
+    # moved out to 0.9 <= |z| <= 0.99, where the series hands over unless z
+    # is close to 1
     rng = seeded(20240602)
     routed = 0
     for _ in range(300):
@@ -197,16 +245,16 @@ def test_tail_route_agrees_with_bruteforce_300_points(policy):
         s = random_complex(rng, (-2.0, 3.0), (-2.0, 2.0))
         v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
         params = LerchParams(z, s, v)
-        routed += _tail_plan(z, abs(z), s, v, policy) is not None
-        fast = lerch_phi(params, policy)
+        fast, handed = _hands_over(tail_outcomes, lerch_phi, params, policy)
+        routed += handed
         slow = _bruteforce_reference(params)
         budget = (slow.error_bound
                   + 10.0 * (policy.rel_tol * abs(fast) + policy.abs_tol))
         assert abs(fast - slow.value) <= budget
-    assert routed >= 280
+    assert routed == 300
 
 
-def test_tail_route_agrees_with_integral_near_rim(policy):
+def test_tail_route_agrees_with_integral_near_rim(policy, tail_outcomes):
     rng = seeded(20240603)
     routed = 0
     for _ in range(100):
@@ -214,15 +262,54 @@ def test_tail_route_agrees_with_integral_near_rim(policy):
         s = random_complex(rng, (0.05, 4.0), (-2.0, 2.0))
         v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
         params = LerchParams(z, s, v)
-        routed += _tail_plan(z, abs(z), s, v, policy) is not None
-        value = lerch_phi(params, policy)
+        value, handed = _hands_over(tail_outcomes, lerch_phi, params, policy)
+        routed += handed
         quad = lerch_phi_integral(params, policy)
         assert abs(value - quad) <= 1e-9 * abs(quad)
-    assert routed >= 95
+    assert routed == 100
 
 
-def test_tail_route_closed_forms_at_nonpositive_integer_s(policy):
-    # the expansion stops at k = -s: sum (v+n) z^n and sum (v+n)^2 z^n
+def test_hand_over_agrees_with_references_from_0_7_to_the_rim(policy, tail_outcomes):
+    # from |z| = 0.7, just past rel_tol^(1/64), to |z| = 0.99 against the
+    # brute-force series, Re s < 0 included; on to the rim against the
+    # integral, which needs Re s >= 0.05.  Each value is held to the
+    # verifier's budget rel_tol * max(1, cond) beside the oracle's own bound
+    # (measured: at most 0.05 of it)
+    rng = seeded(20240606)
+    handed = Counter()
+    for lo, hi, re_s, count in ((0.7, 0.9, (-2.0, 4.0), 60), (0.9, 0.99, (-2.0, 4.0), 60),
+                                (0.99, 0.9995, (0.05, 4.0), 30)):
+        for _ in range(count):
+            z = cmath.rect(rng.uniform(lo, hi), rng.uniform(-PI, PI))
+            s = random_complex(rng, re_s, (-2.0, 2.0))
+            v = random_complex(rng, (0.2, 3.0), (-1.0, 1.0))
+            params = LerchParams(z, s, v)
+            meter = CancellationMeter()
+            value, tail = _hands_over(tail_outcomes, lerch_phi, params, policy, meter)
+            handed[lo] += tail
+            budget = policy.rel_tol * max(abs(value), meter.peak)
+            if hi <= 0.99:
+                ref = _bruteforce_reference(params)
+                assert abs(value - ref.value) <= ref.error_bound + budget
+            else:
+                assert abs(value - lerch_phi_integral(params, policy)) <= budget
+    assert handed == {0.7: 53, 0.9: 60, 0.99: 30}
+    # where |z|^64 <= rel_tol the series runs alone, bit for bit, also at
+    # s = 0, -1, ..., -5, where the expansion terminates
+    calls = len(tail_outcomes)
+    points = []
+    for i in range(60):
+        z = cmath.rect(rng.uniform(0.3, 0.69), rng.uniform(-PI, PI))
+        s = complex(-(i // 10)) if i % 10 == 0 else random_complex(rng, (-2.0, 4.0), (-2.0, 2.0))
+        points.append(LerchParams(z, s, random_complex(rng, (0.2, 3.0), (-1.0, 1.0))))
+    values = [lerch_phi(params, policy) for params in points]
+    assert len(tail_outcomes) == calls
+    assert values == [phi_series_alone(params, policy) for params in points]
+
+
+def test_tail_route_closed_forms_at_nonpositive_integer_s(policy, tail_outcomes):
+    # the expansion stops at k = -s: sum (v+n) z^n and sum (v+n)^2 z^n, added
+    # from w = v with no series term
     rng = seeded(20240604)
     for _ in range(20):
         z = cmath.rect(0.995, rng.uniform(-PI, PI))
@@ -232,6 +319,7 @@ def test_tail_route_closed_forms_at_nonpositive_integer_s(policy):
         second = v * v / q + 2.0 * v * z / q ** 2 + z * (1.0 + z) / q ** 3
         assert abs(lerch_phi(LerchParams(z, -1.0, v), policy) - first) <= 1e-12 * abs(first)
         assert abs(lerch_phi(LerchParams(z, -2.0, v), policy) - second) <= 1e-12 * abs(second)
+    assert tail_outcomes == [True] * 40
 
 
 def _neg_polylog(k, z):
@@ -259,44 +347,43 @@ def test_eulerian_rows_give_negative_order_polylogs():
             assert abs(_neg_polylog(k, z) - direct) <= 1e-13 * abs(direct)
 
 
-# Phi(-0.99, S_ZERO, 1) = 0 (an mpmath root)
-S_ZERO = -2.005907497338372
+# Phi(Z_ZERO, S_ZERO, 1) = 0 at |z| = 0.99, arg z = pi/3 (an mpmath root;
+# |Phi| = 4.3e-17 there at 40 digits)
+Z_ZERO = cmath.rect(0.99, PI / 3.0)
+S_ZERO = -1.3385341220297973 - 1.1756443341029417j
 
 
-def test_tail_route_falls_back_to_series_at_a_zero(policy, monkeypatch):
-    # Phi(-0.99, S_ZERO, 1) vanishes: no tail term gets under rel_tol * |Phi|,
-    # so the route gives up and the series runs
-    outcomes, add_tail = [], functions._add_tail
-
-    def spy(*args):
-        outcomes.append(add_tail(*args))
-        return outcomes[-1]
-
-    monkeypatch.setattr("lerchsum.functions._add_tail", spy)
+def test_tail_route_falls_back_to_series_at_a_zero(policy, tail_outcomes):
+    # Phi(Z_ZERO, S_ZERO, 1) vanishes: at the first block end the running sum
+    # is about |z^N Phi(z, s, w)|, so the predicted tail is too short, no
+    # term gets under rel_tol * |Phi| before they stop shrinking, and the
+    # tail gives up, adding nothing; the series goes on and hands over one
+    # block later, where the terms shrink faster
     meter = CancellationMeter()
-    value = lerch_phi(LerchParams(-0.99, S_ZERO, 1.0), policy, meter)
-    assert outcomes == [False]
+    value = lerch_phi(LerchParams(Z_ZERO, S_ZERO, 1.0), policy, meter)
+    assert tail_outcomes == [False, True]
     assert abs(value) <= 1e-12 * meter.peak
 
 
-def test_phi_and_polylog_values_do_not_depend_on_the_meter(policy):
+def test_phi_and_polylog_values_do_not_depend_on_the_meter(policy, tail_outcomes):
     # without a meter they sum into a CompensatedSum, with one into a
     # CancellationMeter; the two give the same value bit for bit at series
-    # points, routed points and the tail-fallback point
+    # points, points that hand over and the point where the tail gives up
     rng = seeded(20240605)
     series, routed = [], []
     while len(series) < 10 or len(routed) < 10:
         z = cmath.rect(rng.uniform(0.3, 0.99), rng.uniform(-PI, PI))
         s = random_complex(rng, (-2.0, 3.0), (-2.0, 2.0))
         v = random_complex(rng, (0.4, 5.0), (-1.0, 1.0))
-        (series if _tail_plan(z, abs(z), s, v, policy) is None else routed).append((z, s, v))
-    for z, s, v in series[:10] + routed[:10] + [(-0.99, S_ZERO, 1.0)]:
+        _, handed = _hands_over(tail_outcomes, lerch_phi, LerchParams(z, s, v), policy)
+        (routed if handed else series).append((z, s, v))
+    for z, s, v in series[:10] + routed[:10] + [(Z_ZERO, S_ZERO, 1.0)]:
         params = LerchParams(z, s, v)
         assert lerch_phi(params, policy) == lerch_phi(params, policy, CancellationMeter())
         assert polylog(s, z, policy) == polylog(s, z, policy, CancellationMeter())
 
 
-def test_meterless_functions_build_no_cancellation_meter(policy, monkeypatch):
+def test_meterless_functions_build_no_cancellation_meter(policy, monkeypatch, tail_outcomes):
     built = []
 
     class Counted(CancellationMeter):
@@ -311,12 +398,13 @@ def test_meterless_functions_build_no_cancellation_meter(policy, monkeypatch):
     hurwitz_zeta(-1.5 + 0.5j, -2.3 + 0.1j, policy)
     stieltjes_gamma1(3.7 - 1.2j, policy)
     stieltjes_gamma1(-2.5 + 0.5j, policy)
-    # a series point, a routed point and the tail-fallback point
-    points = [(0.4 + 0.3j, 1.5 - 0.5j), (cmath.rect(0.98, 2.0), 1.5 - 0.5j), (-0.99, S_ZERO)]
-    assert _tail_plan(points[1][0], 0.98, points[1][1], 1.0, policy) is not None
+    # a series point, a point that hands over and the point where the tail
+    # gives up once
+    points = [(0.4 + 0.3j, 1.5 - 0.5j), (cmath.rect(0.98, 2.0), 1.5 - 0.5j), (Z_ZERO, S_ZERO)]
     for z, s in points:
         lerch_phi(LerchParams(z, s, 1.0), policy)
         polylog(s, z, policy)
+    assert tail_outcomes == [True, True, False, True, False, True]
     assert built == []
     lerch_phi(LerchParams(0.4 + 0.3j, 1.5, 1.3), policy, CancellationMeter())
     assert len(built) == 1  # the patch is live: a meter's caller gets one

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -177,6 +178,18 @@ def test_noted_sum_peak_equals_the_oracle_peak():
         assert value == complex(float(sum(map(Fraction, (t.real for t in terms)))),
                                 float(sum(map(Fraction, (t.imag for t in terms)))))
     assert 100 < raised < 1900
+    # sums of one and two parts are fsum's bit for bit, signed zeros included
+    for parts in ([complex(-0.0, -0.0)], [complex(-0.0, 2.5)], [complex(-1e-310, 0.0)],
+                  [complex(-0.0, 1.0), complex(-0.0, -1.0)], [complex(1.0, 3.0), 1.1e-16 + 0j],
+                  [complex(-0.0, -0.0), complex(-0.0, -0.0)], []):
+        meter = CancellationMeter()
+        value = identities._noted_sum(meter, parts, 2.0)
+        assert (value.real.hex(), value.imag.hex()) == (math.fsum(t.real for t in parts).hex(),
+                                                        math.fsum(t.imag for t in parts).hex())
+        running = [x for t in accumulate(parts) for x in (t.real, t.imag)]
+        assert meter.peak == 2.0 * max(map(abs, [*running, *(x for t in parts
+                                                              for x in (t.real, t.imag))]),
+                                       default=0.0)
 
 
 # ----------------------------------------------------------- structural facts
