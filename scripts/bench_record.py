@@ -23,7 +23,7 @@ checkout that holds this script), in eight sections:
 6. named_sets: the outcome, a value bit for bit or the exception raised,
    of `lerch_phi_integral` on the eval-mix integral calls at SEEDS and on
    the rim and wide sets (and their confirm sets), and of `hurwitz_zeta`
-   and `stieltjes_gamma1` on their sets;
+   (Re s in (-1, 3) and in (-15, -1)) and `stieltjes_gamma1` on their sets;
 7. phi_work: the series terms and tail terms that the eval-mix
    `lerch_phi` and `polylog` calls sum at each of SEEDS, per call kind
    (the |z| bands and polylog), and how many calls add the large-shift
@@ -129,6 +129,13 @@ def zeta_points() -> list:
     return points
 
 
+def zeta_left_points() -> list:
+    """300 (s, a): Re s in (-15, -1), with zeta_points' boxes for Im s and a."""
+    rng = random.Random("BENCH_17:zeta-left")
+    return [(complex(rng.uniform(-15.0, -1.0), rng.uniform(-20.0, 20.0)),
+             complex(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0))) for _ in range(300)]
+
+
 def gamma1_points() -> list:
     """300 (a,): Re a in [-5, 10], |Im a| <= 5."""
     rng = random.Random("BENCH_9:gamma1")
@@ -148,6 +155,7 @@ def named_sets(lerchsum, evalmix) -> dict:
     sets["rim_confirm"] = ("lerch_phi_integral", rim_points("BENCH_8:rim-confirm"))
     sets["wide_confirm"] = ("lerch_phi_integral", wide_points("BENCH_8:wide-confirm"))
     sets["zeta"] = ("hurwitz_zeta", zeta_points())
+    sets["zeta_left"] = ("hurwitz_zeta", zeta_left_points())
     sets["gamma1"] = ("stieltjes_gamma1", gamma1_points())
     return sets
 
@@ -572,7 +580,11 @@ def _reference(fn: str, args: tuple) -> complex:
         return complex(z * mpmath.lerchphi(z, s, 1))
     if fn == "hurwitz_zeta":
         return complex(mpmath.zeta(*args))
-    return complex(mpmath.stieltjes(1, *args))
+    # gamma_1(a) = -lim_{s->1} [d/ds zeta(s, a) + 1/(s-1)^2], here at s - 1 = h, which
+    # is off by O(h); mpmath.stieltjes takes minutes at a complex a
+    with mpmath.workdps(4 * REF_DPS):
+        h = mpmath.mpf(10) ** -REF_DPS
+        return complex(-(mpmath.zeta(1 + h, args[0], 1) + 1 / h ** 2))
 
 
 def _unhex(pairs: list) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -46,8 +47,6 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# B_{2k}/(2k)! for k = 1..5 (Euler-Maclaurin corrections through B10)
-_ZETA_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)
 # B_{2k}/((2k)(2k-1)) for k = 1..7 (Stirling series through B14)
 _LOGGAMMA_BERNOULLI = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
                        -691 / 360360, 1 / 156)
@@ -440,55 +439,136 @@ def lerch_phi_integral(
     raise ConvergenceError("Phi integral quadrature did not converge in 14 refinements")
 
 
-def hurwitz_zeta(
-    s: complex,
-    a: complex,
-    policy: PrecisionPolicy = PrecisionPolicy(),
-) -> complex:
-    """Hurwitz zeta(s, a) by Euler-Maclaurin with Bernoulli terms through B10.
+def _bernoulli_over_factorial(count: int) -> tuple:
+    """B_2k/(2k)!, k = 1..count, rounded once: as (x/2) coth(x/2) sinh(x/2)/(x/2) = cosh(x/2),
+    c_k = B_2k/(2k)! solve sum_{i<=k} 4^i c_i/(2k-2i+1)! = 1/(2k)!, in integers S 4^i c_i."""
+    scale = math.factorial(2 * count + 1) ** 2
+    d = [scale]
+    for k in range(1, count + 1):
+        d.append((scale * (2 * k + 1) - sum(d[i] * math.perm(2 * k + 1, 2 * i) for i in range(k)))
+                 // math.factorial(2 * k + 1))
+    return tuple(d[k] / (4 ** k * scale) for k in range(1, count + 1))
 
-    The split point is N = max(10, ceil|s| + 10 - floor(Re a)); arguments with
-    Re(a) <= 0 are first lifted by the forward recurrence
-    zeta(s, a) = a^(-s) + zeta(s, a+1).  The direct sum and the corrections
-    are added as one compensated block.  `policy` is ignored: the cut is
-    fixed and there is no remainder estimate, so nothing is raised when
-    digits are lost.  Measured against mpmath in two draws of 60 random
-    points per band (|Im s| <= 20, Re a in [0.1, 5], |Im a| <= 3; both are
-    recorded in ROADMAP.md's zeta item), the worse draw's worst error
-    relative to max(1, |zeta|) is:
 
-        Re s in (-1, 3)     2.4e-11  (second draw; first 9.2e-12)
-        Re s in (-4, -1)    3.2e-7   (second draw; first 2.4e-7)
-        Re s in (-8, -4)    0.29     (first draw; second 9.4e-3)
-        Re s in (-15, -8)   1.6e6    (second draw; first 7.4e5)
+_ZETA_BERNOULLI = _bernoulli_over_factorial(30)  # Re s + 2M > 1 allows M = 9..30 at Re s = -15
+_ZETA_MARGIN = 1e-2  # the cut aims 100 times under rel_tol: ID-13 sums up to 30 gamma_1
+
+
+def _zeta_remainder_bound(s: complex, order: int, m: int, w: complex, edge: tuple) -> float:
+    """Johansson's bound (Numer. Algorithms 69, 2015, Theorem 1) on the remainder after m
+    corrections at w, Re w > 0: 4/(2 pi)^(2m) int_0^inf |(w+t)^(-s-2m) (P log^j - j dP/ds)|,
+    P = (s)_2m, edge = (|P|, |dP/ds|).  As |w+t| >= c (r+t) (r = |w|, c = cos(theta/2),
+    theta = |arg w|) and |log(w+t)| <= ln(r+t) + theta for c r >= 1, it is at most e^max(0,
+    Im s arg w) Q / (c^p r^(p-1) (p-1)), p = Re s + 2m > 1, Q = |P| for j = 0, else
+    Q = |P| (ln r + theta + 1/(p-1)) + |dP/ds|."""
+    (rise, slope), r, phase = edge, abs(w), cmath.phase(w)
+    c, p1 = math.cos(0.5 * phase), s.real + (2 * m - 1)
+    if p1 <= 0.0 or order and c * r < 1.0:
+        return math.inf
+    q = rise * (math.log(r) + abs(phase) + 1.0 / p1) + slope if order else rise
+    return q and (4.0 * q * math.exp(min(700.0, max(0.0, s.imag * phase))) * (c * r) ** -p1
+                  / ((2.0 * math.pi) ** (2 * m) * c * p1))
+
+
+@lru_cache(maxsize=128)
+def _rising(s: complex, order: int, count: int) -> tuple:
+    """(s)_(2k-1) and order * d/ds (s)_(2k-1) for k = 1..count, as correction k needs
+    them, and the edge (|(s)_2count|, order * |d/ds (s)_2count|), as the bound needs it."""
+    rises, slopes, rise, slope = [], [], 1.0 + 0j, 0j
+    for k in range(count):
+        h = s + 2 * k
+        if order:
+            slope = slope * h + rise
+        rise *= h
+        rises.append(rise)
+        slopes.append(slope)
+        h += 1.0
+        if order:
+            slope = slope * h + rise
+        rise *= h
+    return tuple(rises), tuple(slopes), (abs(rise), abs(slope))
+
+
+@lru_cache(maxsize=64)
+def _zeta_cut_rows(s: complex, order: int, target: float) -> tuple:
+    """(r, M), ascending r: the least w > 0 where the bound with M corrections meets target,
+    by steps r -> r (bound/target)^(1/(p-1)) (one is exact at order 0), from the first M
+    with Re s + 2M >= 2 to the last that moves r left by one, the price of a correction,
+    or below Re s = -2, where the terms grow like |w|^(1-Re s) over the rounding floor, by any."""
+    rows, r = [], 1.0
+    for m in range(1, len(_ZETA_BERNOULLI) + 1):
+        p1 = s.real + (2 * m - 1)
+        if p1 >= 1.0 and r > 0.0:  # r = 0 where (s)_2M = 0: the sum is exact
+            last, edge = r, _rising(s, order, m)[2]
+            for _ in range(1 + 3 * order):
+                r = max(float(order), r * (_zeta_remainder_bound(s, order, m, r, edge) / target)
+                        ** (1.0 / p1))
+            while r and _zeta_remainder_bound(s, order, m, r, edge) > target:
+                r *= 1.001
+            if rows and r > last - (1.0 if s.real >= -2.0 else 0.0):
+                break
+            rows.append((min(1e18, r), m))
+    return tuple(reversed(rows)) or ((1e18, 1),)
+
+
+def _zeta_kernel(s: complex, a: complex, order: int, policy: PrecisionPolicy, name: str) -> complex:
+    """sum_{k>=0} f(a+k), f(x) = x^(-s) log^j x, j = order in {0, 1} (zeta(s, a) or -d/ds
+    zeta(s, a) less its pole at s = 1) by Euler-Maclaurin at w = a + N, with L = log w:
+        sum_{k<N} f(a+k) + int_w^inf f + f(w)/2
+            + sum_{k=1..M} B_2k/(2k)! w^(1-s-2k) ((s)_(2k-1) L^j - j d/ds (s)_(2k-1)).
+    Logs are principal.  From _zeta_cut_rows at the integer point c nearest s (c - 1/2 where
+    (c)_2M vanish but s is not c), N is the least with Re(a + N) > 0 and |a + N| >= the least
+    r, and M the fewest with r <= |a + N|; unless s = c and w is real, N then grows until
+    the bound at w is <= _ZETA_MARGIN * rel_tol.  ConvergenceError past max_terms, or where
+    eps * sum |terms| exceeds _ZETA_MARGIN * rel_tol * max(1, |value|), as uncertified.
     """
+    a = _require_finite(a, name + " argument a")
+    if _near_nonpositive_integer(a):
+        raise PoleError(f"{name}: a={a!r} is a nonpositive integer")
+    _check_liftable(a, 1.0, name)
+    a = complex(a.real, a.imag or 0.0)  # arg(a + k) = +pi on the negative axis
+    target = _ZETA_MARGIN * policy.rel_tol
+    point = complex(round(s.real), round(s.imag))
+    vanish = point != s and point.imag == 0 and point.real <= 0
+    rows = _zeta_cut_rows(point - 0.5 if vanish else point, order, target)
+    offset = math.sqrt(max(0.0, rows[0][0] ** 2 - a.imag ** 2)) - a.real  # to |a + N| >= r
+    n = max(0, math.floor(-a.real) + 1, math.ceil(offset))
+    m = rows[max(0, bisect_right(rows, (abs(a + n), math.inf)) - 1)][1]
+    rises, slopes, edge = _rising(s, order, m)
+    while (s != point or a.imag) and n <= policy.max_terms and _zeta_remainder_bound(
+            s, order, m, a + n, edge) > target:  # rows hold on the real axis at point
+        n += 1
+    if n > policy.max_terms:
+        raise ConvergenceError(f"{name} needs over max_terms={policy.max_terms} terms")
+
+    log, minus_s, w = cmath.log, -s, a + n
+    powers = [(a + k) ** minus_s for k in range(n + 1)]  # principal: Im a is not -0.0
+    w_s, log_w_j = powers[-1], (log(w) if order else 1.0)
+    terms = [x * log(a + k) for k, x in enumerate(powers)] if order else powers
+    terms[-1] = (-0.5 * log_w_j * log_w_j if s == 1
+                 else w * w_s * (log_w_j + order / (s - 1.0)) / (s - 1.0))
+    terms.append(0.5 * w_s * log_w_j)
+    u, inv2 = w_s / w, 1.0 / (w * w)
+    for coeff, rise, slope in zip(_ZETA_BERNOULLI, rises, slopes):
+        terms.append(coeff * (rise * log_w_j - slope if order else rise) * u)
+        u *= inv2
+    value = compensated_sum(terms)
+    if _EPS * sum(map(abs, terms)) > target * max(1.0, abs(value)):
+        raise ConvergenceError(f"{name}: the terms cancel below rel_tol")
+    return value
+
+
+def hurwitz_zeta(s: complex, a: complex, policy: PrecisionPolicy = PrecisionPolicy()) -> complex:
+    """Hurwitz zeta(s, a) = sum_{k>=0} (a+k)^(-s), principal powers: _zeta_kernel at
+    order 0, cut where Johansson's remainder bound is under rel_tol/100.  Against
+    mpmath on two draws of 60 points per band (|Im s| <= 20, Re a in [0.1, 5], |Im a| <= 3),
+    the worst error of a returned value over max(1, |zeta|), and the share raised, are
+    4.3e-14, 0% for Re s in (-1, 3); 1.4e-12, 0% in (-4, -1); 6.0e-12, 33% in (-8, -4);
+    and 1.4e-12, 72% in (-15, -8), where the terms cancel below rel_tol."""
     s = _require_finite(s, "hurwitz_zeta argument s")
-    a = _require_finite(a, "hurwitz_zeta argument a")
     if s == 1 or abs(s - 1.0) < 1e-14:
         raise PoleError("hurwitz_zeta has a pole at s = 1")
-    if _near_nonpositive_integer(a):
-        raise PoleError(f"hurwitz_zeta: a={a!r} is a nonpositive integer")
-    _check_liftable(a, 1.0, "hurwitz_zeta")
-
-    shifted = 0j
-    while a.real <= 0:
-        shifted += principal_pow(a, -s)
-        a += 1
-
-    split = max(10, math.ceil(abs(s)) + 10 - math.floor(a.real))
-    terms = [shifted]
-    terms += [cmath.exp(-s * principal_log(a + n)) for n in range(split)]
-    w = a + split
-    terms.append(principal_pow(w, 1 - s) / (s - 1))
-    terms.append(0.5 * principal_pow(w, -s))
-    rising = s
-    w2 = w * w
-    wpow = principal_pow(w, -s - 1)
-    for k, coeff in enumerate(_ZETA_BERNOULLI, start=1):
-        terms.append(coeff * rising * wpow)
-        rising *= (s + (2 * k - 1)) * (s + 2 * k)
-        wpow /= w2
-    return compensated_sum(terms)
+    return _zeta_kernel(s, a, 0, policy, "hurwitz_zeta")
 
 
 def polylog(
@@ -583,94 +663,10 @@ def harmonic(z: complex) -> complex:
     return digamma(z + 1) + EULER_GAMMA
 
 
-# gamma_1's Euler-Maclaurin corrections pair B_{2j}/(2j) (_DIGAMMA_BERNOULLI)
-# with the harmonic numbers H_{2j-1}; the remainder after them is bounded
-# through g^(2M)(x) = (2M)! (log x - H_{2M}) / x^(2M+1) for g(x) = log(x)/x.
-_GAMMA1_ORDER = 2 * len(_DIGAMMA_BERNOULLI)  # 2M = 14
-# H_{2j-1} for j = 1..7, and H_14
-_ODD_HARMONIC = (1.0, 11 / 6, 137 / 60, 363 / 140, 7129 / 2520, 83711 / 27720,
-                 1145993 / 360360)
-_HARMONIC_2M = 1171733 / 360360
-_GAMMA1_REMAINDER_SCALE = (4.0 * math.factorial(_GAMMA1_ORDER)
-                           / (2.0 * math.pi) ** _GAMMA1_ORDER)
-# The remainder is aimed two digits under rel_tol: ID-13 adds up to 30
-# gamma_1 values, and their sum must still meet rel_tol.
-_GAMMA1_MARGIN = 1e-2
-_GAMMA1_MIN_RADIUS = 2.0  # keeps |a + N + t| >= 1, which the bound assumes
-
-
-def _gamma1_remainder_bound(w: complex) -> float:
-    """Bound on the Euler-Maclaurin remainder of gamma_1 at w = a + N, Re w > 0.
-
-    Johansson (Numer. Algorithms 69, 2015, Theorem 1) bounds the remainder
-    after M Bernoulli terms by 4/(2 pi)^(2M) int_0^inf |g^(2M)(w+t)| dt.  With
-    theta = |arg w| < pi/2, |w+t| >= cos(theta/2)(|w|+t) and
-    |arg(w+t)| <= theta, so while cos(theta/2)|w| >= 1 the remainder is at most
-    4 (2M)!/(2 pi)^(2M) [(ln|w| + H_2M + theta)/(2M) + 1/(2M)^2]
-    / (cos(theta/2)^(2M+1) |w|^(2M)).
-    """
-    r, theta, p = abs(w), abs(cmath.phase(w)), _GAMMA1_ORDER
-    return (_GAMMA1_REMAINDER_SCALE
-            * ((math.log(r) + _HARMONIC_2M + theta) / p + 1.0 / (p * p))
-            / (math.cos(0.5 * theta) ** (p + 1) * r ** p))
-
-
-@lru_cache(maxsize=64)
-def _gamma1_radius(target: float) -> float:
-    """About the smallest real w whose remainder bound is at most target."""
-    r, p = _GAMMA1_MIN_RADIUS, _GAMMA1_ORDER
-    for _ in range(8):  # r -> (bound * r^p / target)^(1/p) climbs to the root
-        r = max(r, (_gamma1_remainder_bound(r) * r ** p / target) ** (1.0 / p))
-    return r
-
-
-def stieltjes_gamma1(
-    a: complex,
-    policy: PrecisionPolicy = PrecisionPolicy(),
-) -> complex:
-    """First generalized Stieltjes constant gamma_1(a).
-
-    Defined through the Laurent expansion of zeta(s, a) about s = 1 with the
-    -gamma_1(a)(s-1) sign convention, so
-    gamma_1(a) = -d/ds [zeta(s, a) - 1/(s-1)] at s = 1.  Computed as that
-    s-derivative of the Euler-Maclaurin sum for zeta(s, a), with no finite
-    difference: for w = a + N and L = log w (principal branch),
-
+def stieltjes_gamma1(a: complex, policy: PrecisionPolicy = PrecisionPolicy()) -> complex:
+    """First generalized Stieltjes constant gamma_1(a) = -d/ds [zeta(s, a) - 1/(s-1)] at
+    s = 1 (the -gamma_1(a)(s-1) sign convention): _zeta_kernel at order 1, s = 1, where
+    (s)_(2k-1) = (2k-1)! has s-derivative (2k-1)! H_(2k-1), so with w = a + N, L = log w,
         gamma_1(a) = sum_{k<N} log(a+k)/(a+k) - L^2/2 + L/(2w)
-                     + sum_{j=1..7} B_{2j}/(2j) (L - H_{2j-1}) / w^(2j).
-
-    N is chosen before summing: the smallest N with Re w > 0 at which the
-    remainder bound of _gamma1_remainder_bound is at most rel_tol/100 (about
-    |w| >= 7 at the default rel_tol).  The head starts at a itself, so for
-    Re a <= 0 it uses the same principal logs as hurwitz_zeta's
-    (a+k)^(-s).  Raises ConvergenceError when N exceeds max_terms.
-    """
-    a = _require_finite(a, "stieltjes_gamma1 argument")
-    if _near_nonpositive_integer(a):
-        raise PoleError(f"stieltjes_gamma1: a={a!r} is a nonpositive integer")
-    _check_liftable(a, 1.0, "stieltjes_gamma1")
-
-    target = _GAMMA1_MARGIN * policy.rel_tol
-    radius = _gamma1_radius(target)
-    n = max(0, math.floor(-a.real) + 1)  # Re(a + n) > 0
-    if abs(a.imag) < radius:
-        n = max(n, math.ceil(math.sqrt(radius * radius - a.imag * a.imag) - a.real))
-    while n <= policy.max_terms and _gamma1_remainder_bound(a + n) > target:
-        n += 1
-    if n > policy.max_terms:
-        raise ConvergenceError(
-            f"stieltjes_gamma1 needs {n} > max_terms={policy.max_terms} terms "
-            f"at a={a!r}"
-        )
-
-    terms = [principal_log(x) / x for x in (a + k for k in range(n))]
-    w = a + n
-    log_w = principal_log(w)
-    terms.append(-0.5 * log_w * log_w)
-    terms.append(0.5 * log_w / w)
-    inv2 = 1.0 / (w * w)
-    wpow = inv2
-    for coeff, h in zip(_DIGAMMA_BERNOULLI, _ODD_HARMONIC):
-        terms.append(coeff * (log_w - h) * wpow)
-        wpow *= inv2
-    return compensated_sum(terms)
+                     + sum_{k=1..M} B_2k/(2k) (L - H_(2k-1)) / w^(2k)."""
+    return _zeta_kernel(1.0 + 0j, a, 1, policy, "stieltjes_gamma1")

@@ -4,6 +4,7 @@ runs.  An edit to the package's API that would break a bench run fails
 here instead."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,22 @@ def test_counted_sampling_runs(bench_path):
     draws, accepts = bench_run.counted_sampling(lerchsum, 5, lerchsum.DEFAULT_SEED, ids)
     assert accepts == 5 * len(ids)
     assert draws >= accepts
+
+
+def test_selftest_perturbs_live_constants(monkeypatch):
+    # bench/selftest.py perturbs these functions constants by name: each must
+    # exist, and a perturbed Euler-Maclaurin table must reach both zeta and
+    # gamma_1, or its perturbation would be a silent no-op
+    source = (BENCH / "selftest.py").read_text(encoding="utf-8")
+    names = set(re.findall(r'\(functions, "(\w+)"', source))
+    assert names == {"_HALF_LN_2PI", "_DIGAMMA_BERNOULLI", "_ZETA_BERNOULLI"}
+    functions = lerchsum.functions
+    for name in names:
+        assert hasattr(functions, name), name
+    calls = ((lerchsum.hurwitz_zeta, (2.5 + 1.0j, 0.7 - 0.2j)),
+             (lerchsum.stieltjes_gamma1, (1.3 - 0.4j,)))
+    before = [f(*args) for f, args in calls]
+    table = functions._ZETA_BERNOULLI
+    monkeypatch.setattr(functions, "_ZETA_BERNOULLI", (table[0] * (1.0 + 1e-4), *table[1:]))
+    after = [f(*args) for f, args in calls]
+    assert all(x != y for x, y in zip(before, after))

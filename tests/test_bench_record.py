@@ -55,6 +55,11 @@ NAMED_SETS = {
         "-0x1.d89039e4b6bd0p-2"], [
         "0x1.706fed4af60a6p+0", "0x1.28f7caf040270p+4", "0x1.ae6926773e679p+1",
         "-0x1.62091156f40a0p-1"]),
+    "zeta_left": ("hurwitz_zeta", 300, [
+        "-0x1.4a37d805632b7p+3", "-0x1.30119deef65c2p+4", "0x1.bfc25965a5207p+1",
+        "-0x1.1106f7935723fp+1"], [
+        "-0x1.1f1673d0c6160p+1", "-0x1.6dd2d28495a50p+2", "0x1.7af0bef80cfa4p+0",
+        "-0x1.e192405f5d260p-3"]),
     "gamma1": ("stieltjes_gamma1", 300, [
         "0x1.1172aab9910a4p+0", "0x1.2cc4cb887e448p+1"], [
         "0x1.a0361bd5d72b0p+0", "-0x1.3bc956383755ap+2"]),

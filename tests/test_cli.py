@@ -53,6 +53,24 @@ def test_eval_convergence_error_exit_3(capsys):
     assert code == 3
 
 
+def test_eval_zeta_follows_tol_rel_and_max_terms(capsys):
+    # zeta(2, 3/2) = pi^2/2 - 4; a looser --tol-rel cuts the sum sooner, and a
+    # --max-terms below the cut's head length exits 3
+    argv = ["eval", "zeta", "--s", "2", "0", "--a", "1.5", "0"]
+    exact = PI * PI / 2.0 - 4.0
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    default = parse_pair(out)
+    assert abs(default - exact) <= 1e-10
+    code, out, _ = run_cli(argv + ["--tol-rel", "1e-3"], capsys)
+    assert code == 0
+    loose = parse_pair(out)
+    assert loose != default and abs(loose - exact) <= 1e-3
+    code, _, err = run_cli(argv + ["--max-terms", "1"], capsys)
+    assert code == 3
+    assert "max_terms" in err
+
+
 def test_eval_accepts_negative_numbers_in_exponent_form(capsys):
     expected = run_cli(["eval", "digamma", "--z", "1", "-0.001"], capsys)
     assert expected[0] == 0

@@ -661,6 +661,64 @@ def test_zeta_is_phi_limit_trend(policy):
         assert errs[1] < errs[0]
 
 
+def _returned(call):
+    """call(), or None where it raises ConvergenceError."""
+    try:
+        return call()
+    except ConvergenceError:
+        return None
+
+
+def test_zeta_at_negative_integers_is_a_bernoulli_polynomial(policy):
+    # zeta(-n, a) = -B_(n+1)(a)/(n+1), exact at the rational value of each
+    # float a; a value is returned within rel_tol * max(1, |zeta|) or raises
+    outcomes = Counter()
+    for n in range(15):
+        for a in (1 / 3, 0.5, 1.75, 2.5, 4.6, -7 / 3, -0.25 + 0j):
+            exact = float(-_bernoulli_poly(n + 1, Fraction(a.real)) / (n + 1))
+            value = _returned(lambda: hurwitz_zeta(-n, a, policy))
+            outcomes[value is None] += 1
+            if value is not None:
+                assert abs(value - exact) <= policy.rel_tol * max(1.0, abs(exact)), (n, a)
+    # 104 return; one raises, where the terms (up to |w|^(n+1)) cancel to a
+    # small |zeta| below rel_tol
+    assert outcomes[False] >= 100
+
+
+def test_zeta_left_halfplane_recurrence_and_duplication(policy):
+    # zeta(s, a) = a^-s + zeta(s, a+1) and zeta(s, a) + zeta(s, a+1/2) =
+    # 2^s zeta(s, 2a) at Re s in (-15, -1): each returned value is within
+    # rel_tol * max(1, |zeta|), so each identity holds to the sum of those
+    rng = seeded(43)
+    checked = 0
+    for _ in range(100):
+        s = random_complex(rng, (-15.0, -1.0), (-20.0, 20.0))
+        a = random_complex(rng, (0.1, 5.0), (-3.0, 3.0))
+        values = [_returned(lambda: hurwitz_zeta(s, x, policy))
+                  for x in (a, a + 1.0, a + 0.5, 2.0 * a)]
+        if None in values:
+            continue
+        checked += 1
+        z_a, z_a1, z_half, z_2a = values
+        two_s = principal_pow(2.0, s)
+        budget = [policy.rel_tol * max(1.0, abs(z)) for z in values]
+        assert abs(z_a - principal_pow(a, -s) - z_a1) <= budget[0] + budget[1]
+        assert abs(z_a + z_half - two_s * z_2a) <= budget[0] + budget[2] + abs(two_s) * budget[3]
+    assert checked >= 30  # 45 of the 100 return all four; 159 of the 400 calls raise
+
+
+def test_zeta_kernel_order_one_is_minus_the_s_derivative(policy):
+    # -d/ds zeta(s, a) off s = 1, against a central difference of hurwitz_zeta
+    rng = seeded(47)
+    for _ in range(20):
+        s = random_complex(rng, (-3.0, 4.0), (-5.0, 5.0))
+        a = random_complex(rng, (0.2, 4.0), (-2.0, 2.0))
+        h = 1e-5
+        slope = (hurwitz_zeta(s + h, a, policy) - hurwitz_zeta(s - h, a, policy)) / (2.0 * h)
+        value = functions._zeta_kernel(s, a, 1, policy, "test")
+        assert abs(value + slope) <= 1e-7 * max(1.0, abs(slope))
+
+
 # -------------------------------------------------------------------- polylog
 
 def test_polylog_zero():
@@ -919,24 +977,69 @@ def _bernoulli(count):
 
 
 def test_gamma1_constants_are_exact_rationals():
-    # B_{2j}/(2j) and H_{2j-1}, j = 1..7, rounded once from exact rationals
-    b = _bernoulli(14)
+    # B_2k/(2k)! (all of _ZETA_BERNOULLI) and B_2j/(2j), j = 1..7 (digamma),
+    # each rounded once from exact rationals
+    b = _bernoulli(2 * len(functions._ZETA_BERNOULLI))
+    for k, coeff in enumerate(functions._ZETA_BERNOULLI, start=1):
+        assert coeff == float(b[2 * k] / math.factorial(2 * k))
     for j in range(1, 8):
         assert functions._DIGAMMA_BERNOULLI[j - 1] == float(b[2 * j] / (2 * j))
-        harmonic_odd = sum(Fraction(1, i) for i in range(1, 2 * j))
-        assert functions._ODD_HARMONIC[j - 1] == float(harmonic_odd)
 
 
-def test_gamma1_remainder_bound_holds():
-    # a loose rel_tol ends the head at a small |w|; the result must still be
-    # within the bound's target of the default-policy value
+def _euler_maclaurin(s, a, order, n, m):
+    """The Euler-Maclaurin sum of zeta(s, a) (order 0) or gamma_1(a) (order 1,
+    s = 1) cut at w = a + n after m corrections, transcribed with exact
+    Bernoulli numbers and harmonic numbers."""
+    b = _bernoulli(2 * m)
+    w = a + n
+    log_w = principal_log(w)
+    if order == 0:
+        total = sum(principal_pow(a + k, -s) for k in range(n))
+        total += principal_pow(w, 1.0 - s) / (s - 1.0) + 0.5 * principal_pow(w, -s)
+        for k in range(1, m + 1):
+            rise = math.prod(s + i for i in range(2 * k - 1))
+            total += float(b[2 * k] / math.factorial(2 * k)) * rise * principal_pow(w, 1.0 - s - 2 * k)
+        return total
+    total = sum(principal_log(a + k) / (a + k) for k in range(n))
+    total += -0.5 * log_w * log_w + 0.5 * log_w / w
+    for k in range(1, m + 1):
+        harmonic_odd = float(sum(Fraction(1, i) for i in range(1, 2 * k)))
+        total += float(b[2 * k] / (2 * k)) * (log_w - harmonic_odd) / w ** (2 * k)
+    return total
+
+
+def test_gamma1_remainder_bound_holds(policy):
+    # _zeta_remainder_bound, shared by zeta and gamma_1, bounds the remainder
+    # of the transcribed sum at small cuts, where it is far above rounding
     rng = seeded(41)
+    for _ in range(40):
+        a = random_complex(rng, (0.5, 3.0), (-2.0, 2.0))
+        n, m = rng.randrange(3), rng.randrange(1, 5)
+        for order, s in ((0, random_complex(rng, (-3.0, 3.0), (-5.0, 5.0))), (1, 1.0 + 0j)):
+            if order == 0 and abs(s - 1.0) < 0.1:
+                continue
+            exact = stieltjes_gamma1(a, policy) if order else hurwitz_zeta(s, a, policy)
+            rise = math.prod(s + i for i in range(2 * m))
+            slope = rise * sum(1.0 / (s + i) for i in range(2 * m)) if order else 0.0
+            bound = functions._zeta_remainder_bound(s, order, m, a + n, (abs(rise), abs(slope)))
+            gap = abs(_euler_maclaurin(s, a, order, n, m) - exact)
+            assert gap <= bound + 1e-12 * max(1.0, abs(exact)), (s, a, order, n, m)
+    # a loose rel_tol ends the head at a small |w|; the result must still be
+    # within the bound's target of the default-policy value, also far off the
+    # real axis, where e^(Im s arg w) and cos(arg w / 2) in the bound set N
     for rel_tol in (1e-2, 1e-4, 1e-6):
         loose = PrecisionPolicy(rel_tol=rel_tol)
         for _ in range(20):
-            a = random_complex(rng, (0.2, 4.0), (-2.0, 2.0))
-            gap = abs(stieltjes_gamma1(a, loose) - stieltjes_gamma1(a))
-            assert gap <= 1e-2 * rel_tol
+            sign = rng.choice((-1.0, 1.0))
+            near = (random_complex(rng, (0.2, 4.0), (-2.0, 2.0)),
+                    random_complex(rng, (-3.0, 3.0), (-5.0, 5.0)))
+            far = (complex(rng.uniform(0.05, 1.0), sign * rng.uniform(3.0, 8.0)),
+                   complex(rng.uniform(-1.0, 3.0), sign * rng.uniform(5.0, 15.0)))
+            for a, s in (near, far):
+                for f, args in ((stieltjes_gamma1, (a,)), (hurwitz_zeta, (s, a))):
+                    exact = f(*args)
+                    gap = abs(f(*args, loose) - exact)
+                    assert gap <= 1e-2 * rel_tol
 
 
 def test_gamma1_term_budget():
