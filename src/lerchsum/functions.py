@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Optional
@@ -450,110 +448,108 @@ def _bernoulli_over_factorial(count: int) -> tuple:
     return tuple(d[k] / (4 ** k * scale) for k in range(1, count + 1))
 
 
-_ZETA_BERNOULLI = _bernoulli_over_factorial(30)  # Re s + 2M > 1 allows M = 9..30 at Re s = -15
+_ZETA_BERNOULLI = _bernoulli_over_factorial(30)  # Re s + 2M > 1 down to Re s = -58
 _ZETA_MARGIN = 1e-2  # the cut aims 100 times under rel_tol: ID-13 sums up to 30 gamma_1
+_ZETA_DEGREE = 15  # Re s + 2M that sets M, the number of corrections
 
 
-def _zeta_remainder_bound(s: complex, order: int, m: int, w: complex, edge: tuple) -> float:
-    """Johansson's bound (Numer. Algorithms 69, 2015, Theorem 1) on the remainder after m
-    corrections at w, Re w > 0: 4/(2 pi)^(2m) int_0^inf |(w+t)^(-s-2m) (P log^j - j dP/ds)|,
-    P = (s)_2m, edge = (|P|, |dP/ds|).  As |w+t| >= c (r+t) (r = |w|, c = cos(theta/2),
-    theta = |arg w|) and |log(w+t)| <= ln(r+t) + theta for c r >= 1, it is at most e^max(0,
-    Im s arg w) Q / (c^p r^(p-1) (p-1)), p = Re s + 2m > 1, Q = |P| for j = 0, else
-    Q = |P| (ln r + theta + 1/(p-1)) + |dP/ds|."""
-    (rise, slope), r, phase = edge, abs(w), cmath.phase(w)
-    c, p1 = math.cos(0.5 * phase), s.real + (2 * m - 1)
-    if p1 <= 0.0 or order and c * r < 1.0:
-        return math.inf
-    q = rise * (math.log(r) + abs(phase) + 1.0 / p1) + slope if order else rise
-    return q and (4.0 * q * math.exp(min(700.0, max(0.0, s.imag * phase))) * (c * r) ** -p1
-                  / ((2.0 * math.pi) ** (2 * m) * c * p1))
+def _zeta_corrections(s: complex, name: str) -> int:
+    """M, the fewest corrections with Re s + 2M >= _ZETA_DEGREE - 3 min(0, Re s), at most
+    the table's: left of 0 the terms grow like |w|^(1 - Re s), so M grows faster to keep
+    w, and the rounding floor, small.  The bound needs Re s + 2M > 1."""
+    m = min(len(_ZETA_BERNOULLI),
+            max(1, math.ceil(0.5 * (_ZETA_DEGREE - s.real - 3.0 * min(0.0, s.real)))))
+    if s.real + 2 * m <= 1.0:
+        raise ConvergenceError(f"{name} needs Re s > {1 - 2 * m}, "
+                               f"the reach of its {m} Bernoulli corrections")
+    return m
 
 
-@lru_cache(maxsize=128)
 def _rising(s: complex, order: int, count: int) -> tuple:
-    """(s)_(2k-1) and order * d/ds (s)_(2k-1) for k = 1..count, as correction k needs
-    them, and the edge (|(s)_2count|, order * |d/ds (s)_2count|), as the bound needs it."""
-    rises, slopes, rise, slope = [], [], 1.0 + 0j, 0j
-    for k in range(count):
-        h = s + 2 * k
+    """(s)_(2k-1) and order * d/ds (s)_(2k-1), k = 1..count, for the corrections, and the
+    bound's edge 4/(2 pi)^(2 count) (|(s)_2count|, order * |d/ds (s)_2count|)."""
+    rises, slopes, rise, slope, h = [], [], 1.0, 0.0, s
+    for _ in range(count):  # (P h)' = P' h + P
         if order:
             slope = slope * h + rise
         rise *= h
         rises.append(rise)
-        slopes.append(slope)
-        h += 1.0
         if order:
-            slope = slope * h + rise
-        rise *= h
-    return tuple(rises), tuple(slopes), (abs(rise), abs(slope))
+            slopes.append(slope)
+            slope = slope * (h + 1.0) + rise
+        rise *= h + 1.0
+        h += 2.0
+    scale = 4.0 / (2.0 * math.pi) ** (2 * count)
+    return rises, slopes if order else repeat(0.0), (scale * abs(rise), scale * abs(slope))
 
 
-@lru_cache(maxsize=64)
-def _zeta_cut_rows(s: complex, order: int, target: float) -> tuple:
-    """(r, M), ascending r: the least w > 0 where the bound with M corrections meets target,
-    by steps r -> r (bound/target)^(1/(p-1)) (one is exact at order 0), from the first M
-    with Re s + 2M >= 2 to the last that moves r left by one, the price of a correction,
-    or below Re s = -2, where the terms grow like |w|^(1-Re s) over the rounding floor, by any."""
-    rows, r = [], 1.0
-    for m in range(1, len(_ZETA_BERNOULLI) + 1):
-        p1 = s.real + (2 * m - 1)
-        if p1 >= 1.0 and r > 0.0:  # r = 0 where (s)_2M = 0: the sum is exact
-            last, edge = r, _rising(s, order, m)[2]
-            for _ in range(1 + 3 * order):
-                r = max(float(order), r * (_zeta_remainder_bound(s, order, m, r, edge) / target)
-                        ** (1.0 / p1))
-            while r and _zeta_remainder_bound(s, order, m, r, edge) > target:
-                r *= 1.001
-            if rows and r > last - (1.0 if s.real >= -2.0 else 0.0):
-                break
-            rows.append((min(1e18, r), m))
-    return tuple(reversed(rows)) or ((1e18, 1),)
+def _zeta_remainder_bound(s: complex, order: int, m: int, w: complex, edge: tuple) -> tuple:
+    """Johansson's bound (Numer. Algorithms 69, 2015, Theorem 1) on the remainder after m
+    corrections at w, x = Re w > 0: 4/(2 pi)^(2m) int_0^inf |(w+t)^(-s-2m) (P log^j - j dP/ds)|,
+    P = (s)_2m, edge = 4/(2 pi)^(2m) (|P|, |dP/ds|).  As |w+t| >= x+t, |arg(w+t)| <=
+    |arg w| = theta and, for x >= 2, y^(-p) (ln y + theta) falls in y, it is at most
+        B = 4 e^max(0, Im s arg w) Q / ((2 pi)^(2m) (p-1) x^(p-1)),  p = Re s + 2m > 1,
+    Q = |P| for j = 0, else |P| (ln x + theta + 1/(p-1)) + |dP/ds|.  Returns (B, d): along
+    Im w fixed, theta and e^max(0, Im s arg w) fall and Q grows at most like x^c,
+    c = j |P| / Q, so B falls at least like x^-d, d = p - 1 - c."""
+    (rise, slope), x, phase = edge, w.real, math.atan2(w.imag, w.real)
+    p1, lift = s.real + (2 * m - 1), s.imag * phase
+    if p1 <= 0.0 or order and x < 2.0:
+        return math.inf, p1
+    q = rise * (math.log(x) + abs(phase) + 1.0 / p1) + slope if order else rise
+    decay = p1 - (order and q and rise / q)
+    if lift > 0.0:
+        q *= math.exp(min(lift, 700.0))
+    return q and q * x ** -p1 / p1, decay
 
 
-def _zeta_kernel(s: complex, a: complex, order: int, policy: PrecisionPolicy, name: str) -> complex:
+def _zeta_kernel(s: complex, a: complex, order: int, rows: tuple, policy: PrecisionPolicy,
+                 name: str) -> complex:
     """sum_{k>=0} f(a+k), f(x) = x^(-s) log^j x, j = order in {0, 1} (zeta(s, a) or -d/ds
     zeta(s, a) less its pole at s = 1) by Euler-Maclaurin at w = a + N, with L = log w:
         sum_{k<N} f(a+k) + int_w^inf f + f(w)/2
-            + sum_{k=1..M} B_2k/(2k)! w^(1-s-2k) ((s)_(2k-1) L^j - j d/ds (s)_(2k-1)).
-    Logs are principal.  From _zeta_cut_rows at the integer point c nearest s (c - 1/2 where
-    (c)_2M vanish but s is not c), N is the least with Re(a + N) > 0 and |a + N| >= the least
-    r, and M the fewest with r <= |a + N|; unless s = c and w is real, N then grows until
-    the bound at w is <= _ZETA_MARGIN * rel_tol.  ConvergenceError past max_terms, or where
-    eps * sum |terms| exceeds _ZETA_MARGIN * rel_tol * max(1, |value|), as uncertified.
-    """
-    a = _require_finite(a, name + " argument a")
+            + sum_{k=1..M} B_2k/(2k)! w^(1-s-2k) ((s)_(2k-1) L^j - j d/ds (s)_(2k-1)),
+    rows = _rising(s, order, M), logs principal.  With (B, d) = _zeta_remainder_bound at
+    x0 + i Im a, x0 = max(Re(a + N0), 1 + j), N0 the least with Re(a + N0) > 0, N is the
+    least with Re(a + N) >= x0 max(1, B/target)^(1/d), target = _ZETA_MARGIN * rel_tol.
+    ConvergenceError past max_terms, or where eps (1 + |s L|) sum |terms| exceeds rel_tol *
+    max(1, |value|): a rounding estimate, not a bound, at least twice the error measured
+    on Re s in (-15, -1)."""
     if _near_nonpositive_integer(a):
         raise PoleError(f"{name}: a={a!r} is a nonpositive integer")
     _check_liftable(a, 1.0, name)
-    a = complex(a.real, a.imag or 0.0)  # arg(a + k) = +pi on the negative axis
+    a += 0j  # Im a = -0.0 turns +0.0: arg(a + k) = +pi on the negative axis
+    rises, slopes, edge = rows
+    m = len(rises)
     target = _ZETA_MARGIN * policy.rel_tol
-    point = complex(round(s.real), round(s.imag))
-    vanish = point != s and point.imag == 0 and point.real <= 0
-    rows = _zeta_cut_rows(point - 0.5 if vanish else point, order, target)
-    offset = math.sqrt(max(0.0, rows[0][0] ** 2 - a.imag ** 2)) - a.real  # to |a + N| >= r
-    n = max(0, math.floor(-a.real) + 1, math.ceil(offset))
-    m = rows[max(0, bisect_right(rows, (abs(a + n), math.inf)) - 1)][1]
-    rises, slopes, edge = _rising(s, order, m)
-    while (s != point or a.imag) and n <= policy.max_terms and _zeta_remainder_bound(
-            s, order, m, a + n, edge) > target:  # rows hold on the real axis at point
-        n += 1
+    n = 0 if a.real > 0.0 else math.floor(-a.real) + 1
+    x = a.real + n if a.real + n > 1.0 + order else 1.0 + order
+    bound, decay = _zeta_remainder_bound(s, order, m, complex(x, a.imag), edge)
+    if bound > target:
+        x *= (bound / target) ** (1.0 / decay) if decay > 0.0 else math.inf
+    if x - a.real > n:
+        n = math.ceil(min(x - a.real, 1e18))
     if n > policy.max_terms:
         raise ConvergenceError(f"{name} needs over max_terms={policy.max_terms} terms")
 
     log, minus_s, w = cmath.log, -s, a + n
-    powers = [(a + k) ** minus_s for k in range(n + 1)]  # principal: Im a is not -0.0
-    w_s, log_w_j = powers[-1], (log(w) if order else 1.0)
-    terms = [x * log(a + k) for k, x in enumerate(powers)] if order else powers
-    terms[-1] = (-0.5 * log_w_j * log_w_j if s == 1
+    heads = map(a.__add__, range(n))
+    terms = [v ** minus_s * log(v) for v in heads] if order else [v ** minus_s for v in heads]
+    w_s, log_w = w ** minus_s, log(w)
+    log_w_j = log_w if order else 1.0
+    terms.append(log_w * log_w * -0.5 if s == 1
                  else w * w_s * (log_w_j + order / (s - 1.0)) / (s - 1.0))
-    terms.append(0.5 * w_s * log_w_j)
-    u, inv2 = w_s / w, 1.0 / (w * w)
+    u, inv2, tail = w_s / w, 1.0 / (w * w), w_s * log_w_j * 0.5  # complex first: faster
+    mass = sum(map(abs, terms)) + abs(tail)
     for coeff, rise, slope in zip(_ZETA_BERNOULLI, rises, slopes):
-        terms.append(coeff * (rise * log_w_j - slope if order else rise) * u)
+        term = (log_w_j * rise - slope if order else rise) * coeff * u
+        tail += term
+        mass += abs(term)
         u *= inv2
+    terms.append(tail)
     value = compensated_sum(terms)
-    if _EPS * sum(map(abs, terms)) > target * max(1.0, abs(value)):
+    scale = abs(value)
+    if _EPS * (1.0 + abs(log_w * s)) * mass > policy.rel_tol * (scale if scale > 1.0 else 1.0):
         raise ConvergenceError(f"{name}: the terms cancel below rel_tol")
     return value
 
@@ -563,12 +559,14 @@ def hurwitz_zeta(s: complex, a: complex, policy: PrecisionPolicy = PrecisionPoli
     order 0, cut where Johansson's remainder bound is under rel_tol/100.  Against
     mpmath on two draws of 60 points per band (|Im s| <= 20, Re a in [0.1, 5], |Im a| <= 3),
     the worst error of a returned value over max(1, |zeta|), and the share raised, are
-    4.3e-14, 0% for Re s in (-1, 3); 1.4e-12, 0% in (-4, -1); 6.0e-12, 33% in (-8, -4);
-    and 1.4e-12, 72% in (-15, -8), where the terms cancel below rel_tol."""
+    4.3e-14, 0% for Re s in (-1, 3); 1.4e-11, 0% in (-4, -1); 1.1e-11, 27% in (-8, -4);
+    and 1.6e-11, 69% in (-15, -8), where the terms cancel below rel_tol."""
     s = _require_finite(s, "hurwitz_zeta argument s")
     if s == 1 or abs(s - 1.0) < 1e-14:
         raise PoleError("hurwitz_zeta has a pole at s = 1")
-    return _zeta_kernel(s, a, 0, policy, "hurwitz_zeta")
+    rows = _rising(s, 0, _zeta_corrections(s, "hurwitz_zeta"))
+    return _zeta_kernel(s, _require_finite(a, "hurwitz_zeta argument a"), 0, rows, policy,
+                        "hurwitz_zeta")
 
 
 def polylog(
@@ -663,10 +661,14 @@ def harmonic(z: complex) -> complex:
     return digamma(z + 1) + EULER_GAMMA
 
 
+_GAMMA1_ROWS = _rising(1.0, 1, _zeta_corrections(1.0, "stieltjes_gamma1"))  # gamma_1's s = 1 is fixed
+
+
 def stieltjes_gamma1(a: complex, policy: PrecisionPolicy = PrecisionPolicy()) -> complex:
     """First generalized Stieltjes constant gamma_1(a) = -d/ds [zeta(s, a) - 1/(s-1)] at
     s = 1 (the -gamma_1(a)(s-1) sign convention): _zeta_kernel at order 1, s = 1, where
     (s)_(2k-1) = (2k-1)! has s-derivative (2k-1)! H_(2k-1), so with w = a + N, L = log w,
         gamma_1(a) = sum_{k<N} log(a+k)/(a+k) - L^2/2 + L/(2w)
                      + sum_{k=1..M} B_2k/(2k) (L - H_(2k-1)) / w^(2k)."""
-    return _zeta_kernel(1.0 + 0j, a, 1, policy, "stieltjes_gamma1")
+    a = _require_finite(a, "stieltjes_gamma1 argument")
+    return _zeta_kernel(1.0, a, 1, _GAMMA1_ROWS, policy, "stieltjes_gamma1")

@@ -680,9 +680,14 @@ def test_zeta_at_negative_integers_is_a_bernoulli_polynomial(policy):
             outcomes[value is None] += 1
             if value is not None:
                 assert abs(value - exact) <= policy.rel_tol * max(1.0, abs(exact)), (n, a)
-    # 104 return; one raises, where the terms (up to |w|^(n+1)) cancel to a
-    # small |zeta| below rel_tol
+    # all 105 return: at s = -n the sum with M > n/2 corrections is exact
     assert outcomes[False] >= 100
+    # far left the corrections grow before they vanish and cancel among
+    # themselves: each must count in the rounding check, or raise
+    for n in (20, 31, 40, 50):
+        exact = float(-_bernoulli_poly(n + 1, Fraction(2)) / (n + 1))
+        value = _returned(lambda: hurwitz_zeta(-n, 2.0, policy))
+        assert value is None or abs(value - exact) <= policy.rel_tol * max(1.0, abs(exact)), n
 
 
 def test_zeta_left_halfplane_recurrence_and_duplication(policy):
@@ -704,7 +709,17 @@ def test_zeta_left_halfplane_recurrence_and_duplication(policy):
         budget = [policy.rel_tol * max(1.0, abs(z)) for z in values]
         assert abs(z_a - principal_pow(a, -s) - z_a1) <= budget[0] + budget[1]
         assert abs(z_a + z_half - two_s * z_2a) <= budget[0] + budget[2] + abs(two_s) * budget[3]
-    assert checked >= 30  # 45 of the 100 return all four; 159 of the 400 calls raise
+    assert checked >= 30  # 52 of the 100 return all four; 143 of the 400 calls raise
+
+
+def test_zeta_below_the_bernoulli_table_names_its_reach(policy):
+    # below Re s = -59 no M of _ZETA_BERNOULLI has Re s + 2M > 1: no max_terms helps
+    with pytest.raises(ConvergenceError, match=r"Re s > -59"):
+        hurwitz_zeta(-80.0, 2.0, policy)
+    try:  # just inside the reach the cut is found; the sum may still cancel
+        hurwitz_zeta(-58.0 + 0.5j, 2.0, policy)
+    except ConvergenceError as exc:
+        assert "reach" not in str(exc)
 
 
 def test_zeta_kernel_order_one_is_minus_the_s_derivative(policy):
@@ -715,7 +730,8 @@ def test_zeta_kernel_order_one_is_minus_the_s_derivative(policy):
         a = random_complex(rng, (0.2, 4.0), (-2.0, 2.0))
         h = 1e-5
         slope = (hurwitz_zeta(s + h, a, policy) - hurwitz_zeta(s - h, a, policy)) / (2.0 * h)
-        value = functions._zeta_kernel(s, a, 1, policy, "test")
+        rows = functions._rising(s, 1, functions._zeta_corrections(s, "test"))
+        value = functions._zeta_kernel(s, a, 1, rows, policy, "test")
         assert abs(value + slope) <= 1e-7 * max(1.0, abs(slope))
 
 
@@ -1021,9 +1037,26 @@ def test_gamma1_remainder_bound_holds(policy):
             exact = stieltjes_gamma1(a, policy) if order else hurwitz_zeta(s, a, policy)
             rise = math.prod(s + i for i in range(2 * m))
             slope = rise * sum(1.0 / (s + i) for i in range(2 * m)) if order else 0.0
-            bound = functions._zeta_remainder_bound(s, order, m, a + n, (abs(rise), abs(slope)))
+            scale = 4.0 / (2.0 * math.pi) ** (2 * m)
+            edge = (scale * abs(rise), scale * abs(slope))
+            bound, decay = functions._zeta_remainder_bound(s, order, m, a + n, edge)
             gap = abs(_euler_maclaurin(s, a, order, n, m) - exact)
             assert gap <= bound + 1e-12 * max(1.0, abs(exact)), (s, a, order, n, m)
+            # the cut's one step: right of w, the bound falls at least like Re w^-decay
+            for k in (1, 2, 5, 20):
+                later = functions._zeta_remainder_bound(s, order, m, a + n + k, edge)[0]
+                assert later <= bound * ((a.real + n + k) / (a.real + n)) ** -decay * (1 + 1e-12)
+    # the same fall off the real axis and at order 1 off s = 1, where e^(Im s arg w) moves
+    for _ in range(40):
+        s = random_complex(rng, (-3.0, 4.0), (-8.0, 8.0))
+        a = random_complex(rng, (2.0, 5.0), (-4.0, 4.0))
+        m = rng.randrange(2, 10)
+        for order in (0, 1):
+            edge = functions._rising(s, order, m)[2]
+            bound, decay = functions._zeta_remainder_bound(s, order, m, a, edge)
+            for k in (1, 3, 10):
+                later = functions._zeta_remainder_bound(s, order, m, a + k, edge)[0]
+                assert later <= bound * ((a.real + k) / a.real) ** -decay * (1 + 1e-12)
     # a loose rel_tol ends the head at a small |w|; the result must still be
     # within the bound's target of the default-policy value, also far off the
     # real axis, where e^(Im s arg w) and cos(arg w / 2) in the bound set N
@@ -1040,6 +1073,25 @@ def test_gamma1_remainder_bound_holds(policy):
                     exact = f(*args)
                     gap = abs(f(*args, loose) - exact)
                     assert gap <= 1e-2 * rel_tol
+
+
+def test_zeta_cut_meets_the_bound(policy, monkeypatch):
+    # the one-step cut N leaves the bound at a + N under _ZETA_MARGIN * rel_tol
+    heads = []
+    real = functions.compensated_sum
+    monkeypatch.setattr(functions, "compensated_sum",
+                        lambda terms: heads.append(len(terms) - 2) or real(terms))
+    target = functions._ZETA_MARGIN * policy.rel_tol
+    rng = seeded(53)
+    for _ in range(40):
+        s = random_complex(rng, (-3.0, 4.0), (-8.0, 8.0))
+        a = random_complex(rng, (0.1, 4.0), (-3.0, 3.0))
+        for order, t, call in ((0, s, lambda: hurwitz_zeta(s, a, policy)),
+                               (1, 1.0, lambda: stieltjes_gamma1(a, policy))):
+            call()
+            m = functions._zeta_corrections(t, "test")
+            edge = functions._rising(t, order, m)[2]
+            assert functions._zeta_remainder_bound(t, order, m, a + heads[-1], edge)[0] <= target
 
 
 def test_gamma1_term_budget():
