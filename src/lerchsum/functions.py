@@ -45,12 +45,23 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
+
+def _bernoulli_over_factorial(count: int, times=lambda k: 1) -> tuple:
+    """B_2k/(2k)! times the integer times(k), k = 1..count, rounded once: as
+    (x/2) coth(x/2) sinh(x/2)/(x/2) = cosh(x/2), c_k = B_2k/(2k)! solve
+    sum_{i<=k} 4^i c_i/(2k-2i+1)! = 1/(2k)!, in integers S 4^i c_i."""
+    scale = math.factorial(2 * count + 1) ** 2
+    d = [scale]
+    for k in range(1, count + 1):
+        d.append((scale * (2 * k + 1) - sum(d[i] * math.perm(2 * k + 1, 2 * i) for i in range(k)))
+                 // math.factorial(2 * k + 1))
+    return tuple(d[k] * times(k) / (4 ** k * scale) for k in range(1, count + 1))
+
+
 # B_{2k}/((2k)(2k-1)) for k = 1..7 (Stirling series through B14)
-_LOGGAMMA_BERNOULLI = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
-                       -691 / 360360, 1 / 156)
+_LOGGAMMA_BERNOULLI = _bernoulli_over_factorial(7, lambda k: math.factorial(2 * k - 2))
 # B_{2k}/(2k) for k = 1..7 (digamma asymptotic series through B14)
-_DIGAMMA_BERNOULLI = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
-                      -691 / 32760, 1 / 12)
+_DIGAMMA_BERNOULLI = _bernoulli_over_factorial(7, lambda k: math.factorial(2 * k - 1))
 
 # lerch_phi_integral refuses Re(s) below this.  Its subtracted form converges
 # for Re(s) > -K, but has no accuracy table there yet; with K = 0 (z near 1)
@@ -435,17 +446,6 @@ def lerch_phi_integral(
             return closed + current / gamma_s
         previous, was_under_floor = current, under_floor
     raise ConvergenceError("Phi integral quadrature did not converge in 14 refinements")
-
-
-def _bernoulli_over_factorial(count: int) -> tuple:
-    """B_2k/(2k)!, k = 1..count, rounded once: as (x/2) coth(x/2) sinh(x/2)/(x/2) = cosh(x/2),
-    c_k = B_2k/(2k)! solve sum_{i<=k} 4^i c_i/(2k-2i+1)! = 1/(2k)!, in integers S 4^i c_i."""
-    scale = math.factorial(2 * count + 1) ** 2
-    d = [scale]
-    for k in range(1, count + 1):
-        d.append((scale * (2 * k + 1) - sum(d[i] * math.perm(2 * k + 1, 2 * i) for i in range(k)))
-                 // math.factorial(2 * k + 1))
-    return tuple(d[k] / (4 ** k * scale) for k in range(1, count + 1))
 
 
 _ZETA_BERNOULLI = _bernoulli_over_factorial(30)  # Re s + 2M > 1 down to Re s = -58

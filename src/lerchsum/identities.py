@@ -1,11 +1,12 @@
 """Registry of the sixteen verified finite-sum/product identities.
 
 Each entry packages a left side and a right side as evaluable expressions
-over a typed parameter point, together with the parameter schema, the
-domain constraints (pole avoidance, series convergence), and the comparison
-mode under which the two sides are checked.  Sides are decomposed into
-top-level additive terms (or product factors) so that the verifier can both
-track cancellation and apply sign-flip mutations.
+over a typed parameter point, together with the sampling region, whose
+keys are the entry's fields, the domain constraints (pole avoidance, series
+convergence), and the comparison mode under which the two sides are
+checked.  Sides are decomposed into top-level additive terms (or product
+factors) so that the verifier can both track cancellation and apply
+sign-flip mutations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, chain
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .functions import (
@@ -31,7 +31,7 @@ from .numerics import (
     DomainError,
     PoleError,
     PrecisionPolicy,
-    _fsum,
+    compensated_sum,
     principal_log,
     principal_pow,
 )
@@ -133,17 +133,15 @@ class IdentitySpec:
     """One registry entry and everything the verifier needs to check it.
 
     tol is the comparison tolerance: a point passes when its metric is at
-    most tol * max(1, cond).  region maps each schema field to the sampling
-    box ((re_lo, re_hi), (im_lo, im_hi)) or, as it always maps "n", to an
-    inclusive integer range (lo, hi).  lift, when set, maps the drawn field
-    values to the point's values, for a field whose box is not in its own
-    units.
+    most tol * max(1, cond).  region's keys are the entry's fields: it maps
+    each to its sampling box ((re_lo, re_hi), (im_lo, im_hi)) or, as it
+    always maps "n", to an inclusive integer range (lo, hi).  lift, when
+    set, maps the drawn field values to the point's values, for a field
+    whose box is not in its own units.
     """
 
     id: str
     title: str
-    description: str
-    schema: Sequence[str]
     compare_mode: str  # relative | absolute | mod_2pi_i
     lhs: SideExpr
     rhs: SideExpr
@@ -177,43 +175,15 @@ def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPol
     """Combine the side's terms: compensated sum, or running product.
 
     The shared meter only collects peak magnitudes (for the conditioning
-    estimate); each side is accumulated in its own fresh accumulator.
+    estimate); each side is accumulated on its own.
     """
     terms = side_terms(side, expr, pt, policy, meter)
     if expr.kind == "sum":
-        return _noted_sum(meter, terms)
+        return compensated_sum(terms, meter)
     value = 1 + 0j
     for t in terms:
         value *= t
         meter.note(abs(value))
-    return value
-
-
-def _noted_sum(meter: CancellationMeter, parts: Sequence[complex],
-               weight: float = 1.0) -> complex:
-    """Correctly rounded sum of parts, real and imaginary parts apart.
-
-    Notes the sum's peak, the largest part or running sum, times weight
-    into meter: the one place where an inner sum's cancellation enters the
-    conditioning estimate.
-    """
-    if len(parts) <= 2:
-        # up to two parts, fsum is one correctly rounded addition, and the
-        # running sums are the parts and the total.  Summing from +0.0 gives
-        # fsum's 0.0 where the parts are -0.0; a sum that is not finite
-        # raises below.
-        total = sum(parts, 0j)
-        if cmath.isfinite(total):
-            peak = max(abs(total.real), abs(total.imag))
-            for t in parts:
-                peak = max(peak, abs(t.real), abs(t.imag))
-            meter.note(peak * weight)
-            return total
-    re = [t.real for t in parts]
-    im = [t.imag for t in parts]
-    value = complex(_fsum(re), _fsum(im))
-    peak = max(map(abs, chain(re, im, accumulate(re), accumulate(im))), default=0.0)
-    meter.note(peak * weight)
     return value
 
 
@@ -507,9 +477,9 @@ def _id06_lhs(pt, policy, meter):
         csc2 = _csc(2.0 * tp * x)
         # the cosine combination collapses to O((tp*x)^2) and is then blown
         # back up by csc; record the absolute amplification of its roundoff
-        combo = _noted_sum(meter, [cmath.cos(0.5 * tp * x), cmath.cos(1.5 * tp * x),
-                                   -3.0 * cmath.cos(tp * x), 1.0 + 0j],
-                           abs(2.0 * tp * csc2))
+        combo = compensated_sum([cmath.cos(0.5 * tp * x), cmath.cos(1.5 * tp * x),
+                                 -3.0 * cmath.cos(tp * x), 1.0 + 0j],
+                                meter, abs(2.0 * tp * csc2))
         yield (cmath.cos(0.25 * tp * x) ** 2 * cmath.cos(tp * x) * _sec(0.5 * tp * x) ** 3
                * cmath.exp(-2.0 * tp * combo * csc2))
 
@@ -517,8 +487,8 @@ def _id06_lhs(pt, policy, meter):
 def _id06_rhs(pt, policy, meter):
     x = complex(pt.x)
     tn = 2.0 ** -pt.n
-    expo = _noted_sum(meter, [tn * _csc(tn * x), -tn * _csc(0.5 * tn * x),
-                              cmath.tan(0.5 * x), -cmath.tan(x), _cot(0.5 * x), -_cot(x)])
+    expo = compensated_sum([tn * _csc(tn * x), -tn * _csc(0.5 * tn * x),
+                            cmath.tan(0.5 * x), -cmath.tan(x), _cot(0.5 * x), -_cot(x)], meter)
     yield (cmath.tan(0.5 * x) * _cot(x) * cmath.tan(0.5 * tn * x) * _cot(0.25 * tn * x)
            * cmath.exp(expo))
 
@@ -535,13 +505,13 @@ def _id07_lhs(pt, policy, meter):
             _rungs(lambda s: log_gamma(0.25 * (-_I * s * la - 2.0)))):
         tp = 2.0 ** -p
         sp = 2.0 ** p
-        yield tp * _noted_sum(meter, [
+        yield tp * compensated_sum([
             2.0 * scaled_lo,
             -2.0 * scaled_hi,
             -2.0 * shifted_lo,
             2.0 * shifted_hi,
             principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
-        ], tp)
+        ], meter, tp)
 
 
 def _id07_rhs(pt, policy, meter):
@@ -580,13 +550,13 @@ def _id08_lhs(pt, policy, meter):
             _rungs(lambda s: log_gamma(0.25 * (s * a - 2.0)))):
         tp = 2.0 ** -p
         sp = 2.0 ** p
-        yield tp * _noted_sum(meter, [
+        yield tp * compensated_sum([
             2.0 * scaled_lo,
             -2.0 * scaled_hi,
             -2.0 * shifted_lo,
             2.0 * shifted_hi,
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
-        ], tp)
+        ], meter, tp)
 
 
 def _id08_rhs(pt, policy, meter):
@@ -613,13 +583,13 @@ def _id09_lhs(pt, policy, meter):
             _rungs(lambda s: digamma(0.25 * s * a)),
             _rungs(lambda s: digamma(0.25 * (s * a - 2.0)))):
         sp = 2.0 ** p
-        yield _noted_sum(meter, [
+        yield compensated_sum([
             4.0 / (a * sp * (a * sp - 3.0) + 2.0),
             -scaled_lo,
             2.0 * scaled_hi,
             shifted_lo,
             -2.0 * shifted_hi,
-        ])
+        ], meter)
 
 
 def _id09_rhs(pt, policy, meter):
@@ -697,13 +667,11 @@ def _nielsen_prefixes(x: complex, n: int) -> Iterator[complex]:
         yield value
 
 
-def nielsen_partial_product(x: complex, n: int,
-                            meter: Optional[CancellationMeter] = None) -> complex:
+def nielsen_partial_product(x: complex, n: int) -> complex:
     """Product of the first n ratio factors (p = 1..n), in log space."""
-    meter = meter if meter is not None else CancellationMeter()
     value = 1 + 0j
     for value in _nielsen_prefixes(complex(x), n):
-        meter.note(abs(value))
+        pass  # the last running product is the n-th
     return value
 
 
@@ -723,7 +691,7 @@ _ID12_GATE = TrendGate(_nielsen_prefixes, n_lo=4, n_hi=12, final_tol=1e-6)
 
 
 def _id12_lhs(pt, policy, meter):
-    yield nielsen_partial_product(complex(pt.x), _ID12_GATE.n_hi, meter)
+    yield from _id11_lhs(replace(pt, n=_ID12_GATE.n_hi), policy, meter)
 
 
 def _id12_rhs(pt, policy, meter):
@@ -749,14 +717,14 @@ def _id13_lhs(pt, policy, meter):
             _rungs(lambda s: harmonic(0.25 * (s * a - 2.0))),
             _rungs(lambda s: stieltjes_gamma1(0.25 * s * a + 1.0, policy)),
             _rungs(lambda s: stieltjes_gamma1(0.25 * (s * a + 2.0), policy))):
-        yield _noted_sum(meter, [
+        yield compensated_sum([
             principal_log(_I * 2.0 ** (1 - p)) * (h_lo - hs_lo),
             2.0 * principal_log(_I * 2.0 ** -p) * (hs_hi - h_hi),
             -g_lo,
             2.0 * g_hi,
             -2.0 * gs_hi,
             gs_lo,
-        ])
+        ], meter)
 
 
 def _id13_rhs(pt, policy, meter):
@@ -819,9 +787,9 @@ def _id15_lhs(pt, policy, meter):
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         scale = 4.0 ** (1 - p)
-        yield scale * _noted_sum(meter, [_sec(0.25 * tp * x) ** 2,
-                                         -3.0 * _sec(0.5 * tp * x) ** 2,
-                                         2.0 * _sec(tp * x) ** 2], scale)
+        yield scale * compensated_sum([_sec(0.25 * tp * x) ** 2,
+                                       -3.0 * _sec(0.5 * tp * x) ** 2,
+                                       2.0 * _sec(tp * x) ** 2], meter, scale)
 
 
 def _id15_rhs(pt, policy, meter):
@@ -829,9 +797,9 @@ def _id15_rhs(pt, policy, meter):
     n = pt.n
     tn = 2.0 ** -n
     scale = 2.0 ** (1 - 2 * n)
-    yield scale * _noted_sum(meter, [-_csc(0.25 * tn * x) ** 2, _csc(0.5 * tn * x) ** 2,
-                                     _sec(0.25 * tn * x) ** 2, -_sec(0.5 * tn * x) ** 2],
-                             scale)
+    yield scale * compensated_sum([-_csc(0.25 * tn * x) ** 2, _csc(0.5 * tn * x) ** 2,
+                                   _sec(0.25 * tn * x) ** 2, -_sec(0.5 * tn * x) ** 2],
+                                  meter, scale)
     yield 32.0 * _cot(x) * _csc(x)
     yield -32.0 * _cot(2.0 * x) * _csc(2.0 * x)
 
@@ -842,38 +810,30 @@ def _id15_rhs(pt, policy, meter):
 
 _REGISTRY = (
     IdentitySpec(
-        id="ID-00", title="integrand-identity",
-        description="telescoping tan*sec sum equals a csc difference",
-        schema=("m", "n"), compare_mode="relative",
+        id="ID-00", title="integrand-identity", compare_mode="relative",
         lhs=SideExpr("sum", _id00_lhs), rhs=SideExpr("sum", _id00_rhs),
         constraints=_TAN_SEC_POLES,
         tol=1e-10,
         region={"m": ((0.2, 2.5), (-1.0, 1.0)), "n": (0, 10)},
     ),
     IdentitySpec(
-        id="ID-01", title="main-theorem",
-        description="finite sum of Hurwitz-Lerch pairs collapses to two terms",
-        schema=("a", "m", "k", "n"), compare_mode="relative",
+        id="ID-01", title="main-theorem", compare_mode="relative",
         lhs=SideExpr("sum", _id01_lhs), rhs=SideExpr("sum", _id01_rhs),
         constraints=_id01_constraints,
         tol=1e-9,
-        region={"m": ((0.2, 2.5), (0.5, 2.0)), "k": ((-3.0, 3.0), (-2.0, 2.0)),
-                "a": ((-0.7, 0.7), (-0.7, 0.7)), "n": (0, 8)},
+        region={"a": ((-0.7, 0.7), (-0.7, 0.7)), "m": ((0.2, 2.5), (0.5, 2.0)),
+                "k": ((-3.0, 3.0), (-2.0, 2.0)), "n": (0, 8)},
         lift=_id01_lift,
     ),
     IdentitySpec(
-        id="ID-02", title="degenerate",
-        description="tan*sec telescoping sum, corrected tabulated form",
-        schema=("m", "n"), compare_mode="relative",
+        id="ID-02", title="degenerate", compare_mode="relative",
         lhs=SideExpr("sum", _id02_lhs), rhs=SideExpr("sum", _id02_rhs),
         constraints=_TAN_SEC_POLES,
         tol=1e-10,
         region={"m": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
     IdentitySpec(
-        id="ID-03", title="cos-ratio-two-param",
-        description="cosine-ratio product equals a tangent-ratio closed form",
-        schema=("m", "r", "n"), compare_mode="relative",
+        id="ID-03", title="cos-ratio-two-param", compare_mode="relative",
         lhs=SideExpr("product", _id03_lhs), rhs=SideExpr("product", _id03_rhs),
         constraints=_dyadic_poles(("m", "r")),
         tol=1e-9,
@@ -881,9 +841,7 @@ _REGISTRY = (
                 "n": (0, 10)},
     ),
     IdentitySpec(
-        id="ID-04", title="functional-equation",
-        description="Phi(z,s,a) decomposed over bases z^2, z^4, z^8",
-        schema=("z", "s", "a"), compare_mode="relative",
+        id="ID-04", title="functional-equation", compare_mode="relative",
         lhs=SideExpr("sum", _id04_lhs), rhs=SideExpr("sum", _id04_rhs),
         constraints=_id04_constraints,
         tol=1e-9,
@@ -891,72 +849,56 @@ _REGISTRY = (
                 "a": ((0.5, 4.0), (-1.0, 1.0))},
     ),
     IdentitySpec(
-        id="ID-05", title="cos-ratio-k1",
-        description="cubic cosine-ratio product equals a tangent-ratio form",
-        schema=("x", "n"), compare_mode="relative",
+        id="ID-05", title="cos-ratio-k1", compare_mode="relative",
         lhs=SideExpr("product", _id05_lhs), rhs=SideExpr("product", _id05_rhs),
         constraints=_dyadic_poles(("x",)),
         tol=1e-9,
         region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
     IdentitySpec(
-        id="ID-06", title="exp-cos-product",
-        description="cosine ratios times exponentials of csc combinations",
-        schema=("x", "n"), compare_mode="relative",
+        id="ID-06", title="exp-cos-product", compare_mode="relative",
         lhs=SideExpr("product", _id06_lhs), rhs=SideExpr("product", _id06_rhs),
         constraints=_dyadic_poles(("x",)),
         tol=1e-7,
         region={"x": ((0.2, 2.5), (0.0, 0.0)), "n": (0, 10)},
     ),
     IdentitySpec(
-        id="ID-07", title="loggamma-sum",
-        description="log-gamma sum at imaginary arguments, equal mod 2*pi*i",
-        schema=("a", "n"), compare_mode="mod_2pi_i",
+        id="ID-07", title="loggamma-sum", compare_mode="mod_2pi_i",
         lhs=SideExpr("sum", _id07_lhs), rhs=SideExpr("sum", _id07_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
         tol=1e-9,
         region={"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
     ),
     IdentitySpec(
-        id="ID-08", title="loggamma-sum-alt",
-        description="log-gamma sum with real arguments",
-        schema=("a", "n"), compare_mode="relative",
+        id="ID-08", title="loggamma-sum-alt", compare_mode="relative",
         lhs=SideExpr("sum", _id08_lhs), rhs=SideExpr("sum", _id08_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
         tol=1e-9,
         region={"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
     ),
     IdentitySpec(
-        id="ID-09", title="digamma-sum",
-        description="digamma sum with rational correction terms",
-        schema=("a", "n"), compare_mode="relative",
+        id="ID-09", title="digamma-sum", compare_mode="relative",
         lhs=SideExpr("sum", _id09_lhs), rhs=SideExpr("sum", _id09_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
         tol=1e-9,
         region={"a": ((2.1, 8.0), (0.0, 0.0)), "n": (0, 8)},
     ),
     IdentitySpec(
-        id="ID-10", title="loggamma-transform",
-        description="single-parameter gamma-product closed form",
-        schema=("a",), compare_mode="relative",
+        id="ID-10", title="loggamma-transform", compare_mode="relative",
         lhs=SideExpr("sum", _id10_lhs), rhs=SideExpr("sum", _id10_rhs),
         constraints=_real_a_constraints(2.0, 8.5),
         tol=1e-9,
         region={"a": ((2.1, 8.0), (0.0, 0.0))},
     ),
     IdentitySpec(
-        id="ID-11", title="nielsen-product",
-        description="gamma-ratio product with dyadic exponents, closed form",
-        schema=("x", "n"), compare_mode="relative",
+        id="ID-11", title="nielsen-product", compare_mode="relative",
         lhs=SideExpr("product", _id11_lhs), rhs=SideExpr("product", _id11_rhs),
         constraints=_id11_constraints,
         tol=1e-9,
         region={"x": ((0.05, 0.95), (0.0, 0.0)), "n": (1, 10)},
     ),
     IdentitySpec(
-        id="ID-12", title="nielsen-infinite",
-        description="infinite gamma-ratio product converging to a closed form",
-        schema=("x",), compare_mode="relative",
+        id="ID-12", title="nielsen-infinite", compare_mode="relative",
         lhs=SideExpr("product", _id12_lhs), rhs=SideExpr("product", _id12_rhs),
         constraints=_id12_constraints,
         tol=_ID12_GATE.final_tol,
@@ -964,18 +906,14 @@ _REGISTRY = (
         trend=_ID12_GATE,
     ),
     IdentitySpec(
-        id="ID-13", title="stieltjes-sum",
-        description="generalized Stieltjes constants with harmonic weights",
-        schema=("a", "n"), compare_mode="absolute",
+        id="ID-13", title="stieltjes-sum", compare_mode="absolute",
         lhs=SideExpr("sum", _id13_lhs), rhs=SideExpr("sum", _id13_rhs),
         constraints=_real_a_constraints(2.0, 6.5),
         tol=1e-10,  # gamma_1 is summed to rel_tol/100; worst raw gap ~3e-14
         region={"a": ((2.1, 6.0), (0.0, 0.0)), "n": (0, 6)},
     ),
     IdentitySpec(
-        id="ID-14", title="polylog-sum",
-        description="polylogarithm sum collapsing to two Phi terms",
-        schema=("m", "k", "n"), compare_mode="relative",
+        id="ID-14", title="polylog-sum", compare_mode="relative",
         lhs=SideExpr("sum", _id14_lhs), rhs=SideExpr("sum", _id14_rhs),
         constraints=_id14_constraints,
         tol=1e-9,
@@ -983,9 +921,7 @@ _REGISTRY = (
                 "n": (0, 8)},
     ),
     IdentitySpec(
-        id="ID-15", title="exp-trig-product",
-        description="exponent sums of sec^2/csc^2 products, log-space compare",
-        schema=("x", "n"), compare_mode="relative",
+        id="ID-15", title="exp-trig-product", compare_mode="relative",
         lhs=SideExpr("sum", _id15_lhs), rhs=SideExpr("sum", _id15_rhs),
         constraints=_dyadic_poles(("x",)),
         tol=1e-8,
@@ -1018,7 +954,6 @@ def prudnikov_original() -> IdentitySpec:
     return replace(
         get_identity("ID-02"),
         id="ID-02-PRUDNIKOV-ORIGINAL", title="degenerate-uncorrected",
-        description="ID-02 with the right side's terms sign-swapped",
         rhs=SideExpr("sum", _id02_rhs_prudnikov),
     )
 
@@ -1027,12 +962,13 @@ def evaluate_sides(identity_id: str, point: EvalPoint,
                    policy: PrecisionPolicy = PrecisionPolicy()) -> tuple:
     """Evaluate both sides of a registry identity at one parameter point.
 
-    The point must carry exactly the identity's schema fields and satisfy its
-    domain constraints.  Raises SideEvaluationError (tagged with side and
-    term index) if a singularity or convergence failure is hit mid-sum.
+    The point must carry exactly the identity's fields, its region's keys,
+    and satisfy its domain constraints.  Raises SideEvaluationError (tagged
+    with side and term index) if a singularity or convergence failure is hit
+    mid-sum.
     """
     spec = get_identity(identity_id)
-    declared = frozenset(spec.schema)
+    declared = frozenset(spec.region)
     if point.present() != declared:
         raise DomainError(
             f"{identity_id} needs exactly fields {sorted(declared)}, "

@@ -3,8 +3,9 @@
 Everything downstream is built on two primitives: principal-branch log and
 power, and compensated summation.  Every compensated sum follows one rule:
 its rounding error is computed exactly by ``math.fsum``.  A sum given all at
-once (``compensated_sum``, and the identities' inner sums) is the fsum of
-its real and of its imaginary parts.  A sum streamed in blocks
+once (``compensated_sum``: zeta, gamma_1, the identities' inner sums and
+sum sides) is the fsum of its real and of its imaginary parts; given a
+meter, it also notes its peak there.  A sum streamed in blocks
 (``CompensatedSum``) keeps the plain running sums plus the fsum of each
 block's rounding error.  ``CancellationMeter`` is a CompensatedSum that also
 records ``peak``, the largest term or running sum it has seen.  Only
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "DomainError",
@@ -205,8 +206,33 @@ class CancellationMeter(CompensatedSum):
             self.peak = m
 
 
-def compensated_sum(terms: Sequence[complex]) -> complex:
+def compensated_sum(terms: Sequence[complex], meter: Optional[CancellationMeter] = None,
+                    weight: float = 1.0) -> complex:
     """Correctly rounded sum, part by part, of a finite sequence of complex,
     real or int terms (empty sum is 0).  Raises SumOverflowError when a term
-    is not finite or a part overflows."""
-    return complex(_fsum([t.real for t in terms]), _fsum([t.imag for t in terms]))
+    is not finite or a part overflows.
+
+    Given a meter, notes the sum's peak, the largest part of a term or of a
+    running sum, times weight into it: the one place where a one-shot sum's
+    cancellation enters a conditioning estimate.
+    """
+    if len(terms) <= 2:
+        # up to two terms, fsum is one correctly rounded addition, and the
+        # running sums are the terms and the total.  Summing from +0.0 gives
+        # fsum's 0.0 where the parts are -0.0; a sum that is not finite
+        # raises below.
+        total = sum(terms, 0j)
+        if cmath.isfinite(total):
+            if meter is not None:
+                peak = max(abs(total.real), abs(total.imag))
+                for t in terms:
+                    peak = max(peak, abs(t.real), abs(t.imag))
+                meter.note(peak * weight)
+            return total
+    re = [t.real for t in terms]
+    im = [t.imag for t in terms]
+    value = complex(_fsum(re), _fsum(im))
+    if meter is not None:
+        peak = max(map(abs, chain(re, im, accumulate(re), accumulate(im))), default=0.0)
+        meter.note(peak * weight)
+    return value

@@ -23,6 +23,7 @@ from .verifier import SuiteReport, VerificationResult
 __all__ = ["report_to_obj", "dumps_json", "dumps_csv", "write_report"]
 
 _POINT_FIELDS = tuple(f.name for f in fields(EvalPoint))
+_COMPLEX_KEYS = (frozenset(_POINT_FIELDS) - {"n"}) | {"lhs", "rhs"}
 _VOLATILE_META = ("timestamp", "wall_time_s")
 
 
@@ -115,47 +116,55 @@ def dumps_json(report: SuiteReport, timestamp: Optional[str] = None) -> str:
                       allow_nan=False) + "\n"
 
 
-def _csv_num(x) -> str:
+def _csv_cell(x) -> str:
+    """A report value as a CSV cell: a float with 17 significant digits, a
+    bool as true/false, None as empty, anything else (an int, a string, a
+    non-finite float's string) as its text with commas made semicolons."""
     if x is None:
         return ""
-    return format(float(x), ".17g")
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x).replace(",", ";")
+
+
+def _csv_pairs(name: str, value) -> list:
+    """(column, cell) pairs of one field: a complex value, or its None, as
+    _re and _im cells."""
+    if name in _COMPLEX_KEYS:
+        value = value or {}
+        return [(f"{name}_re", _csv_cell(value.get("re"))),
+                (f"{name}_im", _csv_cell(value.get("im")))]
+    return [(name, _csv_cell(value))]
+
+
+def _csv_row(identity_id: str, point: dict) -> list:
+    """(column, cell) pairs of one JSON point object, flattened, with the
+    parameter fields in place of "point"."""
+    pairs = [("identity_id", identity_id)]
+    for key, value in point.items():
+        if key == "point":
+            for name in _POINT_FIELDS:
+                pairs += _csv_pairs(name, value.get(name))
+        else:
+            pairs += _csv_pairs(key, value)
+    return pairs
+
+
+# the columns of a point with no values are the CSV header
+_CSV_HEADER = ",".join(column for column, _ in _csv_row("", _result_obj(VerificationResult(
+    "", 0, EvalPoint(), None, None, None, None, 1.0, False, "", 1.0))))
 
 
 def dumps_csv(report: SuiteReport) -> str:
-    """One point per row; no volatile fields, so runs are byte-identical."""
-    cols = ["identity_id", "index"]
-    for name in _POINT_FIELDS:
-        if name == "n":
-            cols.append("n")
-        else:
-            cols.extend([f"{name}_re", f"{name}_im"])
-    cols.extend(["lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_err", "rel_err",
-                 "cond", "pass", "mode", "tol", "branch_integer", "error"])
-    lines = [",".join(cols)]
+    """One row per point: the JSON report's point objects, flattened.  No
+    volatile fields, so runs are byte-identical."""
+    lines = [_CSV_HEADER]
     for row in report.rows:
-        for r in row.results:
-            cells = [row.identity_id, str(r.index)]
-            for name in _POINT_FIELDS:
-                value = getattr(r.point, name)
-                if name == "n":
-                    cells.append("" if value is None else str(value))
-                elif value is None:
-                    cells.extend(["", ""])
-                else:
-                    value = complex(value)
-                    cells.extend([_csv_num(value.real), _csv_num(value.imag)])
-            for z in (r.lhs, r.rhs):
-                if z is None:
-                    cells.extend(["", ""])
-                else:
-                    cells.extend([_csv_num(z.real), _csv_num(z.imag)])
-            cells.extend([
-                _csv_num(r.abs_err), _csv_num(r.rel_err), _csv_num(r.cond),
-                "true" if r.passed else "false", r.mode, _csv_num(r.tol),
-                "" if r.branch_integer is None else str(r.branch_integer),
-                "" if r.error is None else r.error.replace(",", ";"),
-            ])
-            lines.append(",".join(cells))
+        for result in row.results:
+            pairs = _csv_row(row.identity_id, _result_obj(result))
+            lines.append(",".join(cell for _, cell in pairs))
     return "\n".join(lines) + "\n"
 
 

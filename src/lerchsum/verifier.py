@@ -76,14 +76,13 @@ def default_strategy(identity_id: str, count: int = 100,
 
 
 def _draw_point(spec: IdentitySpec, rng: random.Random) -> EvalPoint:
-    """One draw from spec.region: "n" first, then the other fields in schema order."""
+    """One draw from spec.region: "n" first, then the other fields in key order."""
     values = {}
-    if "n" in spec.schema:
+    if "n" in spec.region:
         values["n"] = rng.randint(*spec.region["n"])
-    for name in spec.schema:
+    for name, box in spec.region.items():
         if name == "n":
             continue
-        box = spec.region[name]
         if isinstance(box[0], int):  # an inclusive integer range (lo, hi)
             values[name] = complex(rng.randint(*box), 0.0)
             continue
@@ -98,9 +97,6 @@ def _draw_point(spec: IdentitySpec, rng: random.Random) -> EvalPoint:
 
 def sample_points(spec: IdentitySpec, strategy: SampleStrategy) -> list:
     """Rejection-sample `count` in-domain points, deterministically from the seed."""
-    missing = set(spec.schema) - set(spec.region)
-    if missing:
-        raise DomainError(f"region missing fields {sorted(missing)} for {spec.id}")
     rng = random.Random(f"{strategy.seed}:{spec.id}")
     points = []
     for _ in range(strategy.count):

@@ -238,52 +238,53 @@ def log_gamma_by_steps(z):
 
 def id07_lhs_per_term(pt, policy, meter):
     from lerchsum import log_gamma, principal_log
-    from lerchsum.identities import _I, _noted_sum
+    from lerchsum.identities import _I
+    from lerchsum.numerics import compensated_sum
 
     la = principal_log(complex(pt.a))
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         sp = 2.0 ** p
-        yield tp * _noted_sum(meter, [
+        yield tp * compensated_sum([
             2.0 * log_gamma(-_I * 0.25 * sp * la),
             -2.0 * log_gamma(-_I * 0.5 * sp * la),
             -2.0 * log_gamma(0.25 * (-_I * sp * la - 2.0)),
             2.0 * log_gamma(0.5 * (-_I * sp * la - 1.0)),
             principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
-        ], tp)
+        ], meter, tp)
 
 
 def id08_lhs_per_term(pt, policy, meter):
     from lerchsum import log_gamma, principal_log
-    from lerchsum.identities import _noted_sum
+    from lerchsum.numerics import compensated_sum
 
     a = complex(pt.a)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         sp = 2.0 ** p
-        yield tp * _noted_sum(meter, [
+        yield tp * compensated_sum([
             2.0 * log_gamma(0.25 * sp * a),
             -2.0 * log_gamma(0.5 * sp * a),
             -2.0 * log_gamma(0.25 * (sp * a - 2.0)),
             2.0 * log_gamma(0.5 * (sp * a - 1.0)),
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
-        ], tp)
+        ], meter, tp)
 
 
 def id09_lhs_per_term(pt, policy, meter):
     from lerchsum import digamma
-    from lerchsum.identities import _noted_sum
+    from lerchsum.numerics import compensated_sum
 
     a = complex(pt.a)
     for p in range(pt.n + 1):
         sp = 2.0 ** p
-        yield _noted_sum(meter, [
+        yield compensated_sum([
             4.0 / (a * sp * (a * sp - 3.0) + 2.0),
             -digamma(0.25 * sp * a),
             2.0 * digamma(0.5 * sp * a),
             digamma(0.25 * (sp * a - 2.0)),
             -2.0 * digamma(0.5 * (sp * a - 1.0)),
-        ])
+        ], meter)
 
 
 def nielsen_factor_exponent_per_term(x, p):
@@ -312,12 +313,13 @@ def nielsen_prefixes_per_term(x, n):
 
 def id13_lhs_per_term(pt, policy, meter):
     from lerchsum import harmonic, principal_log, stieltjes_gamma1
-    from lerchsum.identities import _I, _noted_sum
+    from lerchsum.identities import _I
+    from lerchsum.numerics import compensated_sum
 
     a = complex(pt.a)
     for p in range(pt.n + 1):
         sp = 2.0 ** p
-        yield _noted_sum(meter, [
+        yield compensated_sum([
             principal_log(_I * 2.0 ** (1 - p))
             * (harmonic(0.25 * sp * a) - harmonic(0.25 * (sp * a - 2.0))),
             2.0 * principal_log(_I * 2.0 ** -p)
@@ -326,7 +328,7 @@ def id13_lhs_per_term(pt, policy, meter):
             2.0 * stieltjes_gamma1(0.5 * sp * a + 1.0, policy),
             -2.0 * stieltjes_gamma1(0.5 * (sp * a + 1.0), policy),
             stieltjes_gamma1(0.25 * (sp * a + 2.0), policy),
-        ])
+        ], meter)
 
 
 PER_TERM_LHS = {"ID-07": id07_lhs_per_term, "ID-08": id08_lhs_per_term,

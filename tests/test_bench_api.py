@@ -50,10 +50,16 @@ def test_tracer_counts_log_gamma_in_a_suite_run(bench_path):
         assert metrics[f"identities.{identity_id}.side_s"][0] > 0.0
 
 
-def test_counted_sampling_runs(bench_path):
+def _bench_run():
+    """bench/run.py as a module (bench_path must be on sys.path)."""
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     bench_run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_run)
+    return bench_run
+
+
+def test_counted_sampling_runs(bench_path):
+    bench_run = _bench_run()
     ids = bench_run.PHI_FREE_IDS
     draws, accepts = bench_run.counted_sampling(lerchsum, 5, lerchsum.DEFAULT_SEED, ids)
     assert accepts == 5 * len(ids)
@@ -77,3 +83,29 @@ def test_selftest_perturbs_live_constants(monkeypatch):
     monkeypatch.setattr(functions, "_ZETA_BERNOULLI", (table[0] * (1.0 + 1e-4), *table[1:]))
     after = [f(*args) for f, args in calls]
     assert all(x != y for x, y in zip(before, after))
+
+
+# The benchmark's own result checks, on small slices of its workloads: a change
+# that the benchmark would count as incorrect fails here first.
+
+def test_bench_call_checks_pass_on_an_eval_mix_slice(bench_path):
+    import evalmix
+
+    bench_run = _bench_run()
+    calls = evalmix.make_calls(lerchsum, lerchsum.DEFAULT_SEED)[:250]
+    assert {call.fn for call in calls} == set(evalmix.CHECK_TOL)  # all seven kinds
+    results, _, _ = bench_run.run_calls(lerchsum, calls)
+    wrong, worst = bench_run.check_calls(lerchsum, calls, results)
+    assert wrong == set()
+    assert worst <= 1.0
+
+
+def test_bench_report_check_passes_on_a_small_suite(bench_path, tmp_path):
+    bench_run = _bench_run()
+    config = {"ids": bench_run.PHI_FREE_IDS, "count": 3}
+    out = tmp_path / "report.json"
+    code, _ = bench_run.run_suite_once(lerchsum, config, lerchsum.DEFAULT_SEED, out)
+    assert code == bench_run.EXPECTED_EXIT
+    result = bench_run.check_report(out, code, config)
+    assert (result["attempted"], result["points"]) == (3 * len(config["ids"]),) * 2
+    assert (result["failed"], result["errors"]) == (0, 0)

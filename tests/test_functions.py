@@ -993,13 +993,16 @@ def _bernoulli(count):
 
 
 def test_gamma1_constants_are_exact_rationals():
-    # B_2k/(2k)! (all of _ZETA_BERNOULLI) and B_2j/(2j), j = 1..7 (digamma),
-    # each rounded once from exact rationals
+    # B_2k/(2k)! (all of _ZETA_BERNOULLI), B_2j/(2j) (digamma) and
+    # B_2j/(2j(2j-1)) (log-gamma), j = 1..7, each rounded once from exact
+    # rationals
     b = _bernoulli(2 * len(functions._ZETA_BERNOULLI))
     for k, coeff in enumerate(functions._ZETA_BERNOULLI, start=1):
         assert coeff == float(b[2 * k] / math.factorial(2 * k))
+    assert len(functions._DIGAMMA_BERNOULLI) == len(functions._LOGGAMMA_BERNOULLI) == 7
     for j in range(1, 8):
         assert functions._DIGAMMA_BERNOULLI[j - 1] == float(b[2 * j] / (2 * j))
+        assert functions._LOGGAMMA_BERNOULLI[j - 1] == float(b[2 * j] / (2 * j * (2 * j - 1)))
 
 
 def _euler_maclaurin(s, a, order, n, m):

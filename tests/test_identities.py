@@ -19,7 +19,7 @@ from lerchsum import (
 )
 from lerchsum import identities
 from lerchsum.identities import SideEvaluationError, evaluate_side, side_terms
-from lerchsum.numerics import CancellationMeter, SumOverflowError
+from lerchsum.numerics import CancellationMeter, SumOverflowError, compensated_sum
 from lerchsum.verifier import DEFAULT_POLE_MARGIN, default_strategy, sample_points
 from helpers import (PER_TERM_LHS, POLE_LADDERS, NeumaierSum, extreme_sequences,
                      nielsen_prefixes_per_term, pole_ladder_check, seeded)
@@ -38,10 +38,11 @@ def test_registry_cardinality_and_order():
 
 
 def test_registry_schemas():
-    assert set(get_identity("ID-01").schema) == {"a", "m", "k", "n"}
-    assert set(get_identity("ID-12").schema) == {"x"}
-    assert set(get_identity("ID-10").schema) == {"a"}
-    assert set(get_identity("ID-03").schema) == {"m", "r", "n"}
+    # an entry's fields are its region's keys, drawn in key order after n
+    assert tuple(get_identity("ID-01").region) == ("a", "m", "k", "n")
+    assert set(get_identity("ID-12").region) == {"x"}
+    assert set(get_identity("ID-10").region) == {"a"}
+    assert set(get_identity("ID-03").region) == {"m", "r", "n"}
 
 
 def test_registry_modes():
@@ -170,10 +171,10 @@ def test_noted_sum_peak_equals_the_oracle_peak():
         except SumOverflowError:
             raised += 1
             with pytest.raises(SumOverflowError):
-                identities._noted_sum(meter, terms, weight)
+                compensated_sum(terms, meter, weight)
             assert meter.peak == 0.0
             continue
-        value = identities._noted_sum(meter, terms, weight)
+        value = compensated_sum(terms, meter, weight)
         assert meter.peak == oracle.peak * weight
         assert value == complex(float(sum(map(Fraction, (t.real for t in terms)))),
                                 float(sum(map(Fraction, (t.imag for t in terms)))))
@@ -183,7 +184,7 @@ def test_noted_sum_peak_equals_the_oracle_peak():
                   [complex(-0.0, 1.0), complex(-0.0, -1.0)], [complex(1.0, 3.0), 1.1e-16 + 0j],
                   [complex(-0.0, -0.0), complex(-0.0, -0.0)], []):
         meter = CancellationMeter()
-        value = identities._noted_sum(meter, parts, 2.0)
+        value = compensated_sum(parts, meter, 2.0)
         assert (value.real.hex(), value.imag.hex()) == (math.fsum(t.real for t in parts).hex(),
                                                         math.fsum(t.imag for t in parts).hex())
         running = [x for t in accumulate(parts) for x in (t.real, t.imag)]

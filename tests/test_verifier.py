@@ -6,7 +6,6 @@ import pytest
 
 from lerchsum import (
     ConvergenceError,
-    DomainError,
     EvalPoint,
     PrecisionPolicy,
     SampleStrategy,
@@ -87,13 +86,6 @@ def test_sampling_exhaustion_error():
         sample_points(tight, SampleStrategy(seed=1, count=1))
 
 
-def test_sampling_region_must_cover_schema():
-    spec = dataclasses.replace(get_identity("ID-03"),
-                               region={"m": ((0.2, 2.5), (0.0, 0.0))})
-    with pytest.raises(DomainError):
-        sample_points(spec, SampleStrategy(seed=1, count=1))
-
-
 def test_main_theorem_sampler_honors_log_guard():
     import cmath
     spec = get_identity("ID-01")
@@ -157,8 +149,7 @@ def test_mod_2pi_i_mode_accepts_2pi_shifts(policy):
         yield complex(0.4, 0.3 + TWO_PI)
 
     synthetic = IdentitySpec(
-        id="SYN-LOG", title="synthetic", description="2 pi i shifted sides",
-        schema=("x",), compare_mode="mod_2pi_i",
+        id="SYN-LOG", title="synthetic", compare_mode="mod_2pi_i",
         lhs=SideExpr("sum", lhs_terms), rhs=SideExpr("sum", rhs_terms),
         constraints=lambda pt, margin: True,
         tol=1e-12, region={"x": ((0.0, 1.0), (0.0, 0.0))},
@@ -167,8 +158,7 @@ def test_mod_2pi_i_mode_accepts_2pi_shifts(policy):
     results = verify_identity(synthetic, strategy, policy, tol=1e-12)
     assert all(r.passed and r.branch_integer == -1 for r in results)
     relative = IdentitySpec(
-        id="SYN-REL", title="synthetic", description="same pair, strict compare",
-        schema=("x",), compare_mode="relative",
+        id="SYN-REL", title="synthetic", compare_mode="relative",
         lhs=SideExpr("sum", lhs_terms), rhs=SideExpr("sum", rhs_terms),
         constraints=lambda pt, margin: True,
         tol=1e-12, region=synthetic.region,
@@ -285,3 +275,44 @@ def test_report_writes_non_finite_values_as_strings():
     assert (point["abs_err"], point["rel_err"], point["cond"]) == ("nan", "inf", "-inf")
     one, two = _non_finite_report(), _non_finite_report()
     assert strip_volatile(report_to_obj(one)) == strip_volatile(report_to_obj(two))
+
+
+def _assert_csv_flattens_json(report):
+    """Every CSV cell equals the JSON field it flattens: <key> or, for a
+    complex value, <key>_re and <key>_im, with the parameter fields taken
+    from the point's "point" object."""
+    import csv
+    import io
+    import json
+    obj = json.loads(dumps_json(report, timestamp="T"))
+    points = [(row["id"], point) for row in obj["identities"] for point in row["points"]]
+    reader = csv.DictReader(io.StringIO(dumps_csv(report)))
+    params = {f.name for f in dataclasses.fields(EvalPoint)}
+    keys = {"identity_id"} | params | {key for key in points[0][1] if key != "point"}
+    assert {c[:-3] if c[-3:] in ("_re", "_im") else c for c in reader.fieldnames} == keys
+    rows = list(reader)
+    assert len(rows) == len(points)
+    for cells, (identity_id, point) in zip(rows, points):
+        for column, cell in cells.items():
+            part = column[-2:] if column[-3:] in ("_re", "_im") else None
+            key = column[:-3] if part else column
+            value = (identity_id if key == "identity_id"
+                     else (point["point"] if key in params else point).get(key))
+            if part and value is not None:
+                value = value[part]
+            if value is None:
+                assert cell == "", column
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false"), column
+            elif isinstance(value, str):  # an id, a mode, an error, or "nan"/"inf"/"-inf"
+                assert cell == value.replace(",", ";"), column
+            elif isinstance(value, int):
+                assert int(cell) == value, column
+            else:
+                assert float(cell) == value, column
+
+
+def test_csv_report_is_the_flattened_json_report(policy):
+    report = run_suite(policy, count=3, seed=4, ids=["ID-01", "ID-07", "ID-12", "ID-13"])
+    _assert_csv_flattens_json(report)
+    _assert_csv_flattens_json(_non_finite_report())
