@@ -22,8 +22,10 @@ checkout that holds this script), in eight sections:
    at TRACE_SEED (ID-12's left side is its trend gate);
 6. named_sets: the outcome, a value bit for bit or the exception raised,
    of `lerch_phi_integral` on the eval-mix integral calls at SEEDS and on
-   the rim and wide sets (and their confirm sets), and of `hurwitz_zeta`
-   (Re s in (-1, 3) and in (-15, -1)) and `stieltjes_gamma1` on their sets;
+   the rim and wide sets (and their confirm sets), of `hurwitz_zeta`
+   (Re s in (-1, 3) and in (-15, -1)) and `stieltjes_gamma1` on their sets,
+   and of `log_gamma` and `digamma` on one set of the positive real axis
+   (z = 10^u and z by the shift line Re z = 10, Im z = +0.0 and -0.0);
 7. phi_work: the series terms and tail terms that the eval-mix
    `lerch_phi` and `polylog` calls sum at each of SEEDS, per call kind
    (the |z| bands and polylog), and how many calls add the large-shift
@@ -142,6 +144,15 @@ def gamma1_points() -> list:
     return [(complex(rng.uniform(-5.0, 10.0), rng.uniform(-5.0, 5.0)),) for _ in range(300)]
 
 
+def real_axis_points() -> list:
+    """400 (z,) on the positive real axis: 300 z = 10^u, u in [-11, 1.5], then
+    100 z in [9, 10], by the shift line; Im z alternates +0.0 and -0.0."""
+    rng = random.Random("BENCH_19:real-axis")
+    xs = [10.0 ** rng.uniform(-11.0, 1.5) for _ in range(300)]
+    xs += [rng.uniform(9.0, 10.0) for _ in range(100)]
+    return [(complex(x, (0.0, -0.0)[i % 2]),) for i, x in enumerate(xs)]
+
+
 def named_sets(lerchsum, evalmix) -> dict:
     """Set name -> (function name, argument tuples of complex numbers)."""
     sets = {}
@@ -157,6 +168,8 @@ def named_sets(lerchsum, evalmix) -> dict:
     sets["zeta"] = ("hurwitz_zeta", zeta_points())
     sets["zeta_left"] = ("hurwitz_zeta", zeta_left_points())
     sets["gamma1"] = ("stieltjes_gamma1", gamma1_points())
+    sets["log_gamma_real"] = ("log_gamma", real_axis_points())
+    sets["digamma_real"] = ("digamma", real_axis_points())
     return sets
 
 
@@ -299,7 +312,8 @@ def _task_sets(seed: int) -> dict:
     evaluate = {"lerch_phi_integral":
                 lambda z, s, v: lerchsum.lerch_phi_integral(lerchsum.LerchParams(z, s, v)),
                 "hurwitz_zeta": lerchsum.hurwitz_zeta,
-                "stieltjes_gamma1": lerchsum.stieltjes_gamma1}
+                "stieltjes_gamma1": lerchsum.stieltjes_gamma1,
+                "log_gamma": lerchsum.log_gamma, "digamma": lerchsum.digamma}
     return {name: {"fn": fn, "args": [hex_args(a) for a in points],
                    "outcomes": [_outcome(evaluate[fn], a) for a in points]}
             for name, (fn, points) in named_sets(lerchsum, evalmix).items()}
@@ -580,6 +594,10 @@ def _reference(fn: str, args: tuple) -> complex:
         return complex(z * mpmath.lerchphi(z, s, 1))
     if fn == "hurwitz_zeta":
         return complex(mpmath.zeta(*args))
+    if fn == "log_gamma":
+        return complex(mpmath.loggamma(*args))
+    if fn == "digamma":
+        return complex(mpmath.digamma(*args))
     # gamma_1(a) = -lim_{s->1} [d/ds zeta(s, a) + 1/(s-1)^2], here at s - 1 = h, which
     # is off by O(h); mpmath.stieltjes takes minutes at a complex a
     with mpmath.workdps(4 * REF_DPS):

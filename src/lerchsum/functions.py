@@ -584,6 +584,22 @@ def polylog(
     return z * lerch_phi(LerchParams(z=z, s=s, v=1.0), policy, meter)
 
 
+def _log_gamma_real(x: float) -> float:
+    """log_gamma's shift and Stirling series for real x > 0, in floats."""
+    shift = 0.0
+    while x < _ASYMPTOTIC_REAL:
+        shift += math.log(x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = 0.0
+    term = inv
+    for coeff in _LOGGAMMA_BERNOULLI:
+        series += coeff * term
+        term *= inv2
+    return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + series - shift
+
+
 def log_gamma(z: complex) -> complex:
     """The continuous-branch log-gamma (not the principal log of Gamma).
 
@@ -593,36 +609,27 @@ def log_gamma(z: complex) -> complex:
     the plane cut along the nonpositive reals.  Raises DomainError for a
     non-finite z.
 
-    Each shift step adds principal_log(z), and two fast paths add the same
-    values without its checks.  z was checked finite on entry, and a step
-    keeps it finite and away from 0 (z is no pole).  Off the real axis
-    (Im z != 0, which z + 1 keeps) principal_log is cmath.log itself.  On
-    the positive real axis it is complex(math.log(x), 0.0), so the real
-    parts are summed as floats in the same order; the imaginary parts are
-    all +0.0.  Everywhere else (Im z = +-0.0 with Re z <= 0) the loop calls
-    principal_log, which puts arg = +pi on the negative axis where cmath.log
-    gives -pi for Im z = -0.0.
+    On the positive real axis (Im z = +-0.0, Re z > 0) _log_gamma_real runs
+    the same steps in floats and the imaginary part is +0.0: there every
+    complex step's real part is the float step, since principal_log(x) is
+    complex(math.log(x), 0.0) and the imaginary parts that enter it are
+    zeros.  Off the real axis (Im z != 0, which z + 1 keeps) each shift step
+    adds cmath.log(z), which is principal_log(z) without its checks: z was
+    checked finite on entry and a step keeps it finite and away from 0.  On
+    the rest of the real axis the loop calls principal_log, which puts
+    arg = +pi on the negative axis where cmath.log gives -pi for Im z = -0.0.
     """
     z = _require_finite(z, "log_gamma argument")
     if _near_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at nonpositive integer {z!r}")
+    if z.imag == 0.0 and z.real > 0.0:
+        return complex(_log_gamma_real(z.real), 0.0)
     _check_liftable(z, _ASYMPTOTIC_REAL, "log_gamma")
+    log = cmath.log if z.imag != 0.0 else principal_log
     shift = 0j
-    if z.imag != 0.0:
-        log = cmath.log
-        while z.real < _ASYMPTOTIC_REAL:
-            shift += log(z)
-            z += 1
-    elif z.real > 0.0:
-        log, total = math.log, 0.0
-        while z.real < _ASYMPTOTIC_REAL:
-            total += log(z.real)
-            z += 1
-        shift = complex(total, 0.0)
-    else:
-        while z.real < _ASYMPTOTIC_REAL:
-            shift += principal_log(z)
-            z += 1
+    while z.real < _ASYMPTOTIC_REAL:
+        shift += log(z)
+        z += 1
     inv = 1.0 / z
     inv2 = inv * inv
     series = 0j
@@ -633,11 +640,33 @@ def log_gamma(z: complex) -> complex:
     return (z - 0.5) * principal_log(z) - z + _HALF_LN_2PI + series - shift
 
 
+def _digamma_real(x: float) -> float:
+    """digamma's shift and asymptotic series for real x > 0, in floats."""
+    shift = 0.0
+    while x < _ASYMPTOTIC_REAL:
+        shift += 1.0 / x
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = 0.0
+    term = inv2
+    for coeff in _DIGAMMA_BERNOULLI:
+        series += coeff * term
+        term *= inv2
+    return math.log(x) - 0.5 * inv - series - shift
+
+
 def digamma(z: complex) -> complex:
-    """psi(z) via the recurrence psi(z) = psi(z+1) - 1/z and the asymptotic series."""
+    """psi(z) via the recurrence psi(z) = psi(z+1) - 1/z and the asymptotic
+    series through the B14 term, after shifting until Re(z) >= 10.  On the
+    positive real axis (Im z = +-0.0, Re z > 0) _digamma_real runs the same
+    steps in floats, bit for bit the complex steps' real part, and the
+    imaginary part is +0.0."""
     z = _require_finite(z, "digamma argument")
     if _near_nonpositive_integer(z):
         raise PoleError(f"digamma pole at nonpositive integer {z!r}")
+    if z.imag == 0.0 and z.real > 0.0:
+        return complex(_digamma_real(z.real), 0.0)
     _check_liftable(z, _ASYMPTOTIC_REAL, "digamma")
     shift = 0j
     while z.real < _ASYMPTOTIC_REAL:

@@ -236,6 +236,30 @@ def log_gamma_by_steps(z):
     return (z - 0.5) * principal_log(z) - z + _HALF_LN_2PI + series - shift
 
 
+def digamma_by_steps(z):
+    """functions.digamma with every shift step and series term in complex arithmetic."""
+    from lerchsum.functions import (_ASYMPTOTIC_REAL, _DIGAMMA_BERNOULLI, _check_liftable,
+                                    _near_nonpositive_integer)
+    from lerchsum.numerics import PoleError, _require_finite, principal_log
+
+    z = _require_finite(z, "digamma argument")
+    if _near_nonpositive_integer(z):
+        raise PoleError(f"digamma pole at nonpositive integer {z!r}")
+    _check_liftable(z, _ASYMPTOTIC_REAL, "digamma")
+    shift = 0j
+    while z.real < _ASYMPTOTIC_REAL:
+        shift += 1.0 / z
+        z += 1
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = 0j
+    term = inv2
+    for coeff in _DIGAMMA_BERNOULLI:
+        series += coeff * term
+        term *= inv2
+    return principal_log(z) - 0.5 * inv - series - shift
+
+
 def id07_lhs_per_term(pt, policy, meter):
     from lerchsum import log_gamma, principal_log
     from lerchsum.identities import _I

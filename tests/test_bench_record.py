@@ -63,6 +63,10 @@ NAMED_SETS = {
     "gamma1": ("stieltjes_gamma1", 300, [
         "0x1.1172aab9910a4p+0", "0x1.2cc4cb887e448p+1"], [
         "0x1.a0361bd5d72b0p+0", "-0x1.3bc956383755ap+2"]),
+    "log_gamma_real": ("log_gamma", 400, ["0x1.73596f4285282p-37", "0x0.0p+0"],
+                       ["0x1.3e1a5350a7cf7p+3", "-0x0.0p+0"]),
+    "digamma_real": ("digamma", 400, ["0x1.73596f4285282p-37", "0x0.0p+0"],
+                     ["0x1.3e1a5350a7cf7p+3", "-0x0.0p+0"]),
 }
 
 

@@ -29,6 +29,7 @@ from lerchsum.numerics import CancellationMeter
 from lerchsum.oracle import phi_series_bruteforce
 from helpers import (
     alternating_series_limit,
+    digamma_by_steps,
     gamma_product_oracle,
     log_gamma_by_steps,
     random_complex,
@@ -832,6 +833,34 @@ def test_log_gamma_shift_bit_identical_to_principal_log_steps():
         with pytest.raises(DomainError):
             log_gamma(z)
 
+
+def test_digamma_bit_identical_to_complex_steps():
+    # the float kernel on the positive real axis must give the complex steps' value
+    for z in _log_gamma_bit_points():
+        try:
+            expected = digamma_by_steps(z)
+        except PoleError:  # negative-integer draws
+            with pytest.raises(PoleError):
+                digamma(z)
+            continue
+        value = digamma(z)
+        assert (repr(value.real), repr(value.imag)) == \
+            (repr(expected.real), repr(expected.imag)), z
+    for z in NON_FINITE:
+        with pytest.raises(DomainError):
+            digamma_by_steps(z)
+        with pytest.raises(DomainError):
+            digamma(z)
+
+
+def test_real_kernels_read_the_live_bernoulli_tables(monkeypatch):
+    # bench/selftest.py perturbs these tables; the real-axis path must see it
+    before = (log_gamma(3.5), digamma(3.5))
+    for name in ("_LOGGAMMA_BERNOULLI", "_DIGAMMA_BERNOULLI"):
+        table = getattr(functions, name)
+        monkeypatch.setattr(functions, name, (table[0] * (1.0 + 1e-6), *table[1:]))
+    assert log_gamma(3.5) != before[0]
+    assert digamma(3.5) != before[1]
 
 @pytest.mark.parametrize("call", [
     lambda w, policy: log_gamma(w),
