@@ -18,7 +18,6 @@ import cmath
 import math
 
 from lerchsum import nielsen_limit, nielsen_partial_product
-from lerchsum.oracle import limit_probe
 
 
 def main() -> int:
@@ -32,13 +31,12 @@ def main() -> int:
     header = "n    " + "".join(f"x={x:<12g}" for x in args.x)
     print(header)
     limits = {x: nielsen_limit(x) for x in args.x}
-    probes = {x: limit_probe(lambda n, x=x: nielsen_partial_product(x, n),
-                             args.n_max)
-              for x in args.x}
+    partials = {x: [nielsen_partial_product(x, n) for n in range(1, args.n_max + 1)]
+                for x in args.x}
     for n in range(1, args.n_max + 1):
         row = f"{n:<5d}"
         for x in args.x:
-            err = abs(probes[x].values[n - 1] - limits[x])
+            err = abs(partials[x][n - 1] - limits[x])
             row += f"{err:<14.3e}"
         print(row)
     print("\nexpected tail scale ln(2*pi)/2 * 2^-n:")
@@ -51,7 +49,7 @@ def main() -> int:
     for n in range(1, args.n_max + 1):
         row = f"{n:<5d}"
         for x in args.x:
-            rho = (cmath.log(probes[x].values[n - 1] / limits[x]).real
+            rho = (cmath.log(partials[x][n - 1] / limits[x]).real
                    - half_ln_2pi * 2.0 ** -n)
             row += f"{rho:<+13.5e} {1.0 / (12.0 * x * 4.0 ** n):<14.5e}"
         print(row)

@@ -31,7 +31,7 @@ from .numerics import (
     principal_log,
     principal_pow,
 )
-from .oracle import OracleReport, finite_sum_direct, limit_probe, phi_series_bruteforce
+from .oracle import OracleReport, finite_sum_direct, phi_series_bruteforce
 from .verifier import (
     DEFAULT_SEED,
     SampleStrategy,

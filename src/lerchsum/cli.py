@@ -64,9 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("function", choices=sorted(_EVAL_FUNCTIONS))
     for name in ("z", "s", "v", "a"):
         pe.add_argument(f"--{name}", nargs=2, type=float, metavar=("RE", "IM"))
-    pe.add_argument("--tol-rel", type=float, default=1e-10)
-    pe.add_argument("--tol-abs", type=float, default=1e-12)
-    pe.add_argument("--max-terms", type=int, default=10**6)
+    pe.add_argument("--tol-rel", type=float, default=1e-10,
+                    help="PrecisionPolicy.rel_tol: target relative error of the evaluation")
+    pe.add_argument("--tol-abs", type=float, default=1e-12,
+                    help="PrecisionPolicy.abs_tol: floor for values near zero")
+    pe.add_argument("--max-terms", type=int, default=10**6,
+                    help="PrecisionPolicy.max_terms: series length before giving up")
 
     def common(p):
         p.add_argument("--count", type=int, default=100)

@@ -348,10 +348,6 @@ def lerch_phi(
     return acc.value
 
 
-def _gamma(z: complex) -> complex:
-    return cmath.exp(log_gamma(z))
-
-
 def closed_kernel_terms(z: complex) -> int:
     """How many terms K of 1/(1 - z e^(-t)) lerch_phi_integral integrates in
     closed form: 2 where |r| = |z/(1-z)| <= 2, otherwise 0.
@@ -426,7 +422,7 @@ def lerch_phi_integral(
     total = sum(values) - 0.5 * (values[0] + values[-1])
     span = count * h
     previous = total * h
-    gamma_s = _gamma(s)
+    gamma_s = cmath.exp(log_gamma(s))
     whole = gamma_s * closed
     # |f| is smooth and positive, so the first mesh already gives its integral
     floor = _EPS * h * sum(map(abs, values))
@@ -453,23 +449,19 @@ _ZETA_MARGIN = 1e-2  # the cut aims 100 times under rel_tol: ID-13 sums up to 30
 _ZETA_DEGREE = 15  # Re s + 2M that sets M, the number of corrections
 
 
-def _zeta_corrections(s: complex, name: str) -> int:
-    """M, the fewest corrections with Re s + 2M >= _ZETA_DEGREE - 3 min(0, Re s), at most
-    the table's: left of 0 the terms grow like |w|^(1 - Re s), so M grows faster to keep
-    w, and the rounding floor, small.  The bound needs Re s + 2M > 1."""
+def _zeta_rows(s: complex, order: int, name: str) -> tuple:
+    """_zeta_kernel's rows at s: (s)_(2k-1) and order * d/ds (s)_(2k-1), k = 1..M, and the
+    bound's edge 4/(2 pi)^(2M) (|(s)_2M|, order * |d/ds (s)_2M|).  M is the fewest
+    corrections with Re s + 2M >= _ZETA_DEGREE - 3 min(0, Re s), at most the table's: left
+    of 0 the terms grow like |w|^(1 - Re s), so M grows faster to keep w, and the rounding
+    floor, small.  The bound needs Re s + 2M > 1."""
     m = min(len(_ZETA_BERNOULLI),
             max(1, math.ceil(0.5 * (_ZETA_DEGREE - s.real - 3.0 * min(0.0, s.real)))))
     if s.real + 2 * m <= 1.0:
         raise ConvergenceError(f"{name} needs Re s > {1 - 2 * m}, "
                                f"the reach of its {m} Bernoulli corrections")
-    return m
-
-
-def _rising(s: complex, order: int, count: int) -> tuple:
-    """(s)_(2k-1) and order * d/ds (s)_(2k-1), k = 1..count, for the corrections, and the
-    bound's edge 4/(2 pi)^(2 count) (|(s)_2count|, order * |d/ds (s)_2count|)."""
     rises, slopes, rise, slope, h = [], [], 1.0, 0.0, s
-    for _ in range(count):  # (P h)' = P' h + P
+    for _ in range(m):  # (P h)' = P' h + P
         if order:
             slope = slope * h + rise
         rise *= h
@@ -479,7 +471,7 @@ def _rising(s: complex, order: int, count: int) -> tuple:
             slope = slope * (h + 1.0) + rise
         rise *= h + 1.0
         h += 2.0
-    scale = 4.0 / (2.0 * math.pi) ** (2 * count)
+    scale = 4.0 / (2.0 * math.pi) ** (2 * m)
     return rises, slopes if order else repeat(0.0), (scale * abs(rise), scale * abs(slope))
 
 
@@ -509,12 +501,12 @@ def _zeta_kernel(s: complex, a: complex, order: int, rows: tuple, policy: Precis
     zeta(s, a) less its pole at s = 1) by Euler-Maclaurin at w = a + N, with L = log w:
         sum_{k<N} f(a+k) + int_w^inf f + f(w)/2
             + sum_{k=1..M} B_2k/(2k)! w^(1-s-2k) ((s)_(2k-1) L^j - j d/ds (s)_(2k-1)),
-    rows = _rising(s, order, M), logs principal.  With (B, d) = _zeta_remainder_bound at
-    x0 + i Im a, x0 = max(Re(a + N0), 1 + j), N0 the least with Re(a + N0) > 0, N is the
-    least with Re(a + N) >= x0 max(1, B/target)^(1/d), target = _ZETA_MARGIN * rel_tol.
-    ConvergenceError past max_terms, or where eps (1 + |s L|) sum |terms| exceeds rel_tol *
-    max(1, |value|): a rounding estimate, not a bound, at least twice the error measured
-    on Re s in (-15, -1)."""
+    rows = _zeta_rows(s, order, name), logs principal, the N + 2 terms one compensated_sum.
+    With (B, d) = _zeta_remainder_bound at x0 + i Im a, x0 = max(Re(a + N0), 1 + j), N0 the
+    least with Re(a + N0) > 0, N is the least with Re(a + N) >= x0 max(1, B/target)^(1/d),
+    target = _ZETA_MARGIN * rel_tol.  ConvergenceError past max_terms, or where
+    eps (1 + |s L|) sum |terms| exceeds rel_tol * max(1, |value|): a rounding estimate, not
+    a bound, at least twice the error measured on Re s in (-15, -1)."""
     if _near_nonpositive_integer(a):
         raise PoleError(f"{name}: a={a!r} is a nonpositive integer")
     _check_liftable(a, 1.0, name)
@@ -562,9 +554,9 @@ def hurwitz_zeta(s: complex, a: complex, policy: PrecisionPolicy = PrecisionPoli
     4.3e-14, 0% for Re s in (-1, 3); 1.4e-11, 0% in (-4, -1); 1.1e-11, 27% in (-8, -4);
     and 1.6e-11, 69% in (-15, -8), where the terms cancel below rel_tol."""
     s = _require_finite(s, "hurwitz_zeta argument s")
-    if s == 1 or abs(s - 1.0) < 1e-14:
+    if abs(s - 1.0) < 1e-14:
         raise PoleError("hurwitz_zeta has a pole at s = 1")
-    rows = _rising(s, 0, _zeta_corrections(s, "hurwitz_zeta"))
+    rows = _zeta_rows(s, 0, "hurwitz_zeta")
     return _zeta_kernel(s, _require_finite(a, "hurwitz_zeta argument a"), 0, rows, policy,
                         "hurwitz_zeta")
 
@@ -607,7 +599,8 @@ def log_gamma(z: complex) -> complex:
     applies Stirling's series through the B14 term.  Real and conventional on
     (0, inf); off the real axis it agrees with the branch that is analytic on
     the plane cut along the nonpositive reals.  Raises DomainError for a
-    non-finite z.
+    non-finite z, and OverflowError where the value leaves the double range
+    (on the positive real axis from x = 2.5563e305 on), as math.lgamma does.
 
     On the positive real axis (Im z = +-0.0, Re z > 0) _log_gamma_real runs
     the same steps in floats and the imaginary part is +0.0: there every
@@ -623,21 +616,25 @@ def log_gamma(z: complex) -> complex:
     if _near_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at nonpositive integer {z!r}")
     if z.imag == 0.0 and z.real > 0.0:
-        return complex(_log_gamma_real(z.real), 0.0)
-    _check_liftable(z, _ASYMPTOTIC_REAL, "log_gamma")
-    log = cmath.log if z.imag != 0.0 else principal_log
-    shift = 0j
-    while z.real < _ASYMPTOTIC_REAL:
-        shift += log(z)
-        z += 1
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = 0j
-    term = inv
-    for coeff in _LOGGAMMA_BERNOULLI:
-        series += coeff * term
-        term *= inv2
-    return (z - 0.5) * principal_log(z) - z + _HALF_LN_2PI + series - shift
+        value = complex(_log_gamma_real(z.real), 0.0)
+    else:
+        _check_liftable(z, _ASYMPTOTIC_REAL, "log_gamma")
+        log = cmath.log if z.imag != 0.0 else principal_log
+        shift = 0j
+        while z.real < _ASYMPTOTIC_REAL:
+            shift += log(z)
+            z += 1
+        inv = 1.0 / z
+        inv2 = inv * inv
+        series = 0j
+        term = inv
+        for coeff in _LOGGAMMA_BERNOULLI:
+            series += coeff * term
+            term *= inv2
+        value = (z - 0.5) * principal_log(z) - z + _HALF_LN_2PI + series - shift
+    if not cmath.isfinite(value):
+        raise OverflowError("log_gamma leaves the double range")
+    return value
 
 
 def _digamma_real(x: float) -> float:
@@ -690,7 +687,7 @@ def harmonic(z: complex) -> complex:
     return digamma(z + 1) + EULER_GAMMA
 
 
-_GAMMA1_ROWS = _rising(1.0, 1, _zeta_corrections(1.0, "stieltjes_gamma1"))  # gamma_1's s = 1 is fixed
+_GAMMA1_ROWS = _zeta_rows(1.0, 1, "stieltjes_gamma1")  # gamma_1's s = 1 is fixed
 
 
 def stieltjes_gamma1(a: complex, policy: PrecisionPolicy = PrecisionPolicy()) -> complex:

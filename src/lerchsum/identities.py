@@ -156,18 +156,13 @@ def side_terms(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy
                meter: CancellationMeter) -> list:
     """The side's raw top-level terms, each failure tagged with its index."""
     out = []
-    gen = expr.terms(pt, policy, meter)
-    index = 0
-    while True:
-        try:
-            term = next(gen)
-        except StopIteration:
-            return out
-        except (ZeroDivisionError, OverflowError, PoleError, ConvergenceError,
-                DomainError, ValueError) as exc:
-            raise SideEvaluationError(side, index, exc) from exc
-        out.append(complex(term))
-        index += 1
+    try:
+        for term in expr.terms(pt, policy, meter):
+            out.append(complex(term))
+    except (ZeroDivisionError, OverflowError, PoleError, ConvergenceError,
+            DomainError, ValueError) as exc:
+        raise SideEvaluationError(side, len(out), exc) from exc
+    return out
 
 
 def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy,
@@ -414,11 +409,7 @@ def _id03_rhs(pt, policy, meter):
 # --------------------------------------------------------------------------
 
 def _id04_lhs(pt, policy, meter):
-    z, s, a = complex(pt.z), complex(pt.s), complex(pt.a)
-    local = CancellationMeter()
-    value = lerch_phi(LerchParams(z, s, a), policy, local)
-    meter.note(local.peak)
-    yield value
+    yield lerch_phi(LerchParams(complex(pt.z), complex(pt.s), complex(pt.a)), policy, meter)
 
 
 def _id04_rhs(pt, policy, meter):

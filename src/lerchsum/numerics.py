@@ -2,17 +2,18 @@
 
 Everything downstream is built on two primitives: principal-branch log and
 power, and compensated summation.  Every compensated sum follows one rule:
-its rounding error is computed exactly by ``math.fsum``.  A sum given all at
-once (``compensated_sum``: zeta, gamma_1, the identities' inner sums and
-sum sides) is the fsum of its real and of its imaginary parts; given a
-meter, it also notes its peak there.  A sum streamed in blocks
-(``CompensatedSum``) keeps the plain running sums plus the fsum of each
-block's rounding error.  ``CancellationMeter`` is a CompensatedSum that also
-records ``peak``, the largest term or running sum it has seen.  Only
-conditioning estimates read ``peak``: the verifier's, which scales its
-tolerances, and the benchmark's eval-mix result check.
-All values are plain Python ``complex``; overflow
-and NaN are error conditions, never results.
+its rounding error is computed exactly by ``math.fsum``, through one
+checked ``_fsum(re, im)`` call per sum.  A sum given all at once
+(``compensated_sum``: zeta, gamma_1, the identities' inner sums and sum
+sides) is the fsum of its real and of its imaginary parts, by one path for
+any number of terms; given a meter, it also notes its peak there.  A sum
+streamed in blocks (``CompensatedSum``) keeps the plain running sums plus
+the fsum of each block's rounding error.  ``CancellationMeter`` is a
+CompensatedSum that also records ``peak``, the largest term or running sum
+it has seen.  Only conditioning estimates read ``peak``: the verifier's,
+which scales its tolerances, and the benchmark's eval-mix result check.
+All values are plain Python ``complex``; overflow and NaN are error
+conditions, never results.
 """
 
 from __future__ import annotations
@@ -113,17 +114,17 @@ def principal_pow(z: complex, s: complex) -> complex:
     return cmath.exp(s * principal_log(z))
 
 
-def _fsum(xs: Iterable[float]) -> float:
-    """Correctly rounded sum of xs by ``math.fsum``.
+def _fsum(re: Iterable[float], im: Iterable[float]) -> complex:
+    """Correctly rounded sums of re and of im by ``math.fsum``, as one complex.
 
-    Raises SumOverflowError when a term is not finite or the sum overflows
+    Raises SumOverflowError when a term is not finite or a sum overflows
     the double range (fsum's OverflowError, ValueError or non-finite value).
     """
     try:
-        total = math.fsum(xs)
+        total = complex(math.fsum(re), math.fsum(im))
     except (OverflowError, ValueError) as exc:
         raise SumOverflowError("sum overflowed the double range") from exc
-    if not math.isfinite(total):
+    if not cmath.isfinite(total):
         raise SumOverflowError("sum overflowed the double range")
     return total
 
@@ -163,10 +164,9 @@ class CompensatedSum:
         if len(re) != len(im):
             raise DomainError("add_block needs as many imaginary parts as real parts")
         # a non-finite term or running sum leaves _fsum no finite error to return
-        cr = _fsum((self._sr, *re, -nr))
-        ci = _fsum((self._si, *im, -ni))
-        self._cr += cr
-        self._ci += ci
+        error = _fsum((self._sr, *re, -nr), (self._si, *im, -ni))
+        self._cr += error.real
+        self._ci += error.imag
         self._sr, self._si = nr, ni
 
 
@@ -210,28 +210,17 @@ def compensated_sum(terms: Sequence[complex], meter: Optional[CancellationMeter]
                     weight: float = 1.0) -> complex:
     """Correctly rounded sum, part by part, of a finite sequence of complex,
     real or int terms (empty sum is 0).  Raises SumOverflowError when a term
-    is not finite or a part overflows.
+    is not finite or a part overflows.  One path for every length: for one
+    or two terms fsum is the plain rounded addition from +0.0, signed zeros
+    included.
 
     Given a meter, notes the sum's peak, the largest part of a term or of a
     running sum, times weight into it: the one place where a one-shot sum's
     cancellation enters a conditioning estimate.
     """
-    if len(terms) <= 2:
-        # up to two terms, fsum is one correctly rounded addition, and the
-        # running sums are the terms and the total.  Summing from +0.0 gives
-        # fsum's 0.0 where the parts are -0.0; a sum that is not finite
-        # raises below.
-        total = sum(terms, 0j)
-        if cmath.isfinite(total):
-            if meter is not None:
-                peak = max(abs(total.real), abs(total.imag))
-                for t in terms:
-                    peak = max(peak, abs(t.real), abs(t.imag))
-                meter.note(peak * weight)
-            return total
     re = [t.real for t in terms]
     im = [t.imag for t in terms]
-    value = complex(_fsum(re), _fsum(im))
+    value = _fsum(re, im)
     if meter is not None:
         peak = max(map(abs, chain(re, im, accumulate(re), accumulate(im))), default=0.0)
         meter.note(peak * weight)

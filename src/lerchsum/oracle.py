@@ -4,8 +4,7 @@ These certify the fast paths: a brute-force series for Phi with an explicit
 tail bound, a from-scratch re-transcription of every registry identity (no
 shared code with the registry evaluators beyond the special-function
 primitives, and sums/products accumulated in reverse index order with plain
-floating addition to decorrelate roundoff), and a sequence probe for the
-infinite-product limit.
+floating addition to decorrelate roundoff).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .functions import (
     LerchParams,
@@ -29,10 +27,8 @@ from .numerics import DomainError, PoleError, PrecisionPolicy, principal_log, pr
 
 __all__ = [
     "OracleReport",
-    "ProbeResult",
     "phi_series_bruteforce",
     "finite_sum_direct",
-    "limit_probe",
 ]
 
 _I = 1j
@@ -50,12 +46,6 @@ class OracleReport:
             raise DomainError("error_bound must be positive and finite")
         if self.work < 1:
             raise DomainError("work must be >= 1")
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    values: tuple
-    diffs: tuple  # successive absolute differences |f(i+1) - f(i)|
 
 
 def phi_series_bruteforce(params: LerchParams, terms: int) -> OracleReport:
@@ -97,15 +87,6 @@ def phi_series_bruteforce(params: LerchParams, terms: int) -> OracleReport:
         tail = az ** (terms + 1) / (1.0 - az) * probe_max
     return OracleReport(value=total, error_bound=max(tail, 1e-300),
                         method="series-bruteforce", work=terms)
-
-
-def limit_probe(f: Callable[[int], complex], n_max: int) -> ProbeResult:
-    """Evaluate f at n = 1..n_max; report values and successive |differences|."""
-    if n_max < 4:
-        raise DomainError("n_max must be >= 4")
-    values = tuple(complex(f(n)) for n in range(1, n_max + 1))
-    diffs = tuple(abs(values[i + 1] - values[i]) for i in range(len(values) - 1))
-    return ProbeResult(values=values, diffs=diffs)
 
 
 # --------------------------------------------------------------------------

@@ -109,3 +109,17 @@ def test_bench_report_check_passes_on_a_small_suite(bench_path, tmp_path):
     result = bench_run.check_report(out, code, config)
     assert (result["attempted"], result["points"]) == (3 * len(config["ids"]),) * 2
     assert (result["failed"], result["errors"]) == (0, 0)
+
+
+def test_point_timer_times_each_point_and_restores_the_verifier(bench_path):
+    # registry-phi-free's latencies come from swapping verifier._verify_one_point:
+    # a renamed or inlined point function would leave every timed run empty
+    bench_run = _bench_run()
+    verifier = lerchsum.verifier
+    original = verifier._verify_one_point
+    latencies = []
+    with bench_run.point_timer(verifier, latencies):
+        lerchsum.run_suite(count=3, ids=("ID-00", "ID-12"))
+    assert verifier._verify_one_point is original
+    assert len(latencies) == 6
+    assert all(t > 0.0 for t in latencies)

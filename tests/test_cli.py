@@ -51,6 +51,9 @@ def test_eval_convergence_error_exit_3(capsys):
     code, _, err = run_cli(["eval", "phi", "--z", "0.999999", "0", "--s", "1", "0",
                             "--v", "1", "0", "--max-terms", "50"], capsys)
     assert code == 3
+    # a value past the double range is a numerical error too, not "inf"
+    code, out, _ = run_cli(["eval", "loggamma", "--z", "1e308", "0"], capsys)
+    assert (code, out) == (3, "")
 
 
 def test_eval_zeta_follows_tol_rel_and_max_terms(capsys):

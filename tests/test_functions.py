@@ -731,8 +731,8 @@ def test_zeta_kernel_order_one_is_minus_the_s_derivative(policy):
         a = random_complex(rng, (0.2, 4.0), (-2.0, 2.0))
         h = 1e-5
         slope = (hurwitz_zeta(s + h, a, policy) - hurwitz_zeta(s - h, a, policy)) / (2.0 * h)
-        rows = functions._rising(s, 1, functions._zeta_corrections(s, "test"))
-        value = functions._zeta_kernel(s, a, 1, rows, policy, "test")
+        value = functions._zeta_kernel(s, a, 1, functions._zeta_rows(s, 1, "test"), policy,
+                                       "test")
         assert abs(value + slope) <= 1e-7 * max(1.0, abs(slope))
 
 
@@ -771,6 +771,14 @@ def test_log_gamma_poles():
     for z in (0.0, -1.0, -7.0):
         with pytest.raises(PoleError):
             log_gamma(z)
+
+
+def test_log_gamma_raises_past_the_double_range():
+    # overflow is an error, never an inf result, on both the real and complex paths
+    for z in (3e305, 1e308, 1e306 - 1e306j):
+        with pytest.raises(OverflowError):
+            log_gamma(z)
+    assert log_gamma(2e305) == complex(1.4039632010874876e+308, 0.0)
 
 
 def test_log_gamma_matches_product_oracle():
@@ -1083,8 +1091,11 @@ def test_gamma1_remainder_bound_holds(policy):
         s = random_complex(rng, (-3.0, 4.0), (-8.0, 8.0))
         a = random_complex(rng, (2.0, 5.0), (-4.0, 4.0))
         m = rng.randrange(2, 10)
+        rise = math.prod(s + i for i in range(2 * m))
+        scale = 4.0 / (2.0 * math.pi) ** (2 * m)
         for order in (0, 1):
-            edge = functions._rising(s, order, m)[2]
+            slope = rise * sum(1.0 / (s + i) for i in range(2 * m)) if order else 0.0
+            edge = (scale * abs(rise), scale * abs(slope))
             bound, decay = functions._zeta_remainder_bound(s, order, m, a, edge)
             for k in (1, 3, 10):
                 later = functions._zeta_remainder_bound(s, order, m, a + k, edge)[0]
@@ -1121,9 +1132,9 @@ def test_zeta_cut_meets_the_bound(policy, monkeypatch):
         for order, t, call in ((0, s, lambda: hurwitz_zeta(s, a, policy)),
                                (1, 1.0, lambda: stieltjes_gamma1(a, policy))):
             call()
-            m = functions._zeta_corrections(t, "test")
-            edge = functions._rising(t, order, m)[2]
-            assert functions._zeta_remainder_bound(t, order, m, a + heads[-1], edge)[0] <= target
+            rises, _, edge = functions._zeta_rows(t, order, "test")
+            bound = functions._zeta_remainder_bound(t, order, len(rises), a + heads[-1], edge)[0]
+            assert bound <= target
 
 
 def test_gamma1_term_budget():

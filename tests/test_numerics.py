@@ -116,8 +116,12 @@ def test_compensated_sum_takes_real_and_int_terms():
 
 
 def test_sum_overflow_raises():
-    with pytest.raises(SumOverflowError):
-        compensated_sum([1e308, 1e308, 1e308])
+    # sums of any length, real or imaginary part: one or two terms take the
+    # same path as three
+    for terms in ([1e308, 1e308, 1e308], [1e308j, 1e308j, 1e308j], [complex(1, math.inf)],
+                  [math.nan], [1e308 + 1e308j] * 2):
+        with pytest.raises(SumOverflowError):
+            compensated_sum(terms)
 
 
 def test_permutation_insensitivity():
@@ -220,6 +224,7 @@ def test_add_block_is_no_less_accurate_than_add_loop():
     ([1.0, math.inf, -math.inf], [0.0, 0.0, 0.0]),
     ([1.0, 2.0], [math.nan, 0.0]),
     ([1e308, 1e308, -1e308], [0.0, 0.0, 0.0]),
+    ([0.0] * 3, [1e308, 1e308, -1e308]),
 ])
 def test_add_block_raises_on_non_finite_sums(re, im):
     for cls in ACCUMULATORS:

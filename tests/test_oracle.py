@@ -13,12 +13,7 @@ from lerchsum import (
 )
 from lerchsum.identities import evaluate_side, list_identities
 from lerchsum.numerics import CancellationMeter
-from lerchsum.oracle import (
-    OracleReport,
-    finite_sum_direct,
-    limit_probe,
-    phi_series_bruteforce,
-)
+from lerchsum.oracle import OracleReport, finite_sum_direct, phi_series_bruteforce
 from lerchsum.verifier import default_strategy, sample_points
 from helpers import (
     HALF_LN_2PI,
@@ -146,30 +141,12 @@ def test_direct_agrees_with_registry_rhs_all_identities(policy):
             assert abs(fast - slow) <= 1e-12 * max(abs(fast), abs(slow), 1e-12), spec.id
 
 
-# --------------------------------------------------------------------- limit_probe
-
-def test_probe_constant():
-    probe = limit_probe(lambda n: 3.25, 5)
-    assert probe.values == (3.25,) * 5
-    assert probe.diffs == (0.0,) * 4
-
-
-def test_probe_geometric_halving():
-    probe = limit_probe(lambda n: 2.0 ** -n, 10)
-    for i in range(len(probe.diffs) - 1):
-        assert probe.diffs[i + 1] == pytest.approx(probe.diffs[i] / 2.0, rel=1e-12)
-
-
-def test_probe_requires_four_points():
-    with pytest.raises(DomainError):
-        limit_probe(lambda n: 1.0, 3)
-
+# ------------------------------------------------------------ product limit
 
 def test_probe_nielsen_product_approaches_limit():
     x = 0.3
     target = nielsen_limit(x)
-    probe = limit_probe(lambda n: nielsen_partial_product(x, n), 12)
-    errors = [abs(v - target) for v in probe.values[3:]]
+    errors = [abs(nielsen_partial_product(x, n) - target) for n in range(4, 13)]
     assert all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     # tail shrinks roughly geometrically (factor ~ 1/2 per step)
     for i in range(len(errors) - 1):
