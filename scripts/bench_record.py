@@ -32,7 +32,10 @@ checkout that holds this script), in eight sections:
    tail.  Each call moved in section 2 is priced against mpmath, its
    error set against rel_tol * max(1, cond) with the change's cond;
 8. phi_suite: `lerchsum suite --filter ID-01,ID-04,ID-14`, the three Phi
-   identities, timed at each of SEEDS.
+   identities, timed at each of SEEDS, and the Phi work of one untimed
+   `run_suite` of them per seed under `bench/tracing.py`'s Tracer: its
+   `lerch_phi` calls per |z| band, `polylog` calls and `principal_pow`
+   calls.
 
 mpmath, imported only to price moved points or calls, gives the references
 at REF_DPS digits.
@@ -383,8 +386,28 @@ def _task_phi_work(seed: int) -> list:
     return phi_work(lerchsum, evalmix.make_calls(lerchsum, seed))
 
 
+def _is_phi_counter(name: str) -> bool:
+    return (name in ("functions.polylog.calls", "numerics.principal_pow_calls")
+            or name.startswith("functions.lerch_phi.") and name.endswith(".calls"))
+
+
+def phi_suite_work(lerchsum, ids: list, seed: int, count: int = COUNT) -> dict:
+    """The `lerch_phi` calls per |z| band, `polylog` calls and `principal_pow`
+    calls of one untimed `run_suite` of ids, counted by bench/tracing.py's
+    Tracer (a lerch_phi call inside polylog counts too)."""
+    import lerchsum.cli  # noqa: F401 - the Tracer wraps the cli and report modules
+    from tracing import Tracer
+
+    with Tracer(lerchsum) as tracer:
+        lerchsum.run_suite(lerchsum.PrecisionPolicy(), count=count, seed=seed, ids=ids)
+    return {name: value for name, (value, _) in tracer.metrics().items()
+            if _is_phi_counter(name)}
+
+
 def _task_phi_suite(seed: int) -> dict:
-    """`lerchsum suite --filter PHI_IDS` at every seed, SUITE_PASSES timed passes."""
+    """`lerchsum suite --filter PHI_IDS` at every seed, SUITE_PASSES timed passes,
+    then phi_suite_work at every seed."""
+    import lerchsum
     from lerchsum.cli import main
 
     codes = {}
@@ -396,8 +419,9 @@ def _task_phi_suite(seed: int) -> dict:
 
         _, times, scale = _timed([partial(run, s) for s in SEEDS], SUITE_PASSES, 1)
     seconds = {str(s): scale * t for s, t in zip(SEEDS, times)}
+    work = {str(s): phi_suite_work(lerchsum, PHI_IDS.split(","), s) for s in SEEDS}
     return {"scale": scale, "seconds": dict(seconds, total=scale * sum(times)),
-            "exit_codes": codes}
+            "exit_codes": codes, "work": work}
 
 
 TASKS = {"calls": _task_calls, "sides": _task_sides, "suite": _task_suite, "sets": _task_sets,
@@ -682,15 +706,27 @@ def phi_work_record(roots: dict) -> dict:
 
 
 def phi_suite(roots: dict) -> dict:
-    codes = {}
+    codes, work = {}, {}
 
     def run(side, job, i):
         out = _run_child(roots[side], "phi_suite")
         codes.setdefault(side, out.pop("exit_codes"))
+        if work.setdefault(side, out["work"]) != out.pop("work"):
+            raise RuntimeError(f"{side}: Phi work counters differ between passes")
         return out
 
     passes = alternating(run, ("phi_suite",), PASSES)
-    return {"ids": PHI_IDS, "exit_codes": codes,
+    counters = {}
+    for seed in map(str, SEEDS):
+        per_side = {side: work[side][seed] for side in SIDES}
+        counters[seed] = {
+            **per_side,
+            "lerch_phi_calls": {side: sum(v for name, v in c.items()
+                                          if name.startswith("functions.lerch_phi."))
+                                for side, c in per_side.items()},
+            "differing": sorted(name for name, v in per_side["parent"].items()
+                                if per_side["change"].get(name) != v)}
+    return {"ids": PHI_IDS, "exit_codes": codes, "work": counters,
             **_fastest_half({side: passes[side]["phi_suite"] for side in SIDES})}
 
 

@@ -156,6 +156,8 @@ def _cmd_suite(args) -> int:
     ids = None
     if args.filter:
         ids = [token.strip() for token in args.filter.split(",") if token.strip()]
+        if not ids:
+            raise DomainError(f"--filter {args.filter!r} names no identity")
     report = _run_and_write(args, ids)
     _print_suite_table(report)
     return 0 if report.all_passed else 1
@@ -182,6 +184,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConvergenceError, OverflowError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # write_report: the --out path cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

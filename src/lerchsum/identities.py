@@ -182,20 +182,24 @@ def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPol
     return value
 
 
-def _rungs(rung: Callable[[float], complex], first: int = 0) -> Iterator[tuple]:
-    """(rung(2^p), rung(2^(p+1))) for p = first, first + 1, ...: the two
-    rungs of term p of a dyadic side.
+def _rungs(rung: Callable[[float], object], first: int = 0) -> Iterator[tuple]:
+    """(rung(2^q), rung(2^(q+1))) for q = first, first + 1, ...: the two
+    rungs of one term of a dyadic side, the side's first term taking the
+    first pair.  first = -1 starts the ladder at 2^-1, for a side whose term
+    p reads the scales 2^(p-1) and 2^p.  A rung may return any value, such
+    as a pair (value, peak of its own meter).
 
-    Term p + 1 needs rung(2^(p+1)) again, so each high rung is carried over
-    as the next low rung: each rung is evaluated once per side.  Zip the
-    generator after the side's range of p, so that it evaluates no rung
+    The next term needs rung(2^(q+1)) again, so each high rung is carried
+    over as the next low rung: each rung is evaluated once per side.  Zip
+    the generator after the side's range of p, so that it evaluates no rung
     past the last term and a failure falls in the term that needs the rung.
-    rung(s) builds its argument from the scale s by products and sums with
-    constants; multiplying by 2 is exact in binary floating point (the
-    registry's domains keep the arguments far from overflow, see _MAX_N,
-    and from the subnormals), so rung(2^(p+1)) receives bit for bit the
-    argument that term p writes with coefficients twice as large, e.g.
-    0.25 (2^(p+1) a) = 0.5 (2^p a) and 0.25 (2^(p+1) a - 2) = 0.5 (2^p a - 1).
+    rung(s) builds its argument from the scale s by products, quotients and
+    sums with constants; multiplying or dividing by 2 is exact in binary
+    floating point (the registry's domains keep the arguments far from
+    overflow, see _MAX_N, and from the subnormals), so rung(2^(p+1))
+    receives bit for bit the argument that term p writes with coefficients
+    twice as large, e.g. 0.25 (2^(p+1) a) = 0.5 (2^p a),
+    0.25 (2^(p+1) a - 2) = 0.5 (2^p a - 1) and m / 2^(p-1) = 2 (2^-p m).
     rung must look its function up by module name at call time, so that
     the benchmark's tracer, which swaps those names, sees every call.
     """
@@ -303,17 +307,19 @@ _TAN_SEC_POLES = _dyadic_poles(("m",))
 def _id01_lhs(pt, policy, meter):
     a, m, k = complex(pt.a), complex(pt.m), complex(pt.k)
     la = principal_log(a)
-    for p in range(pt.n + 1):
+
+    def rung(s):
+        local = CancellationMeter()
+        value = lerch_phi(LerchParams(-cmath.exp(_I * m / s), -k, 1.0 - _I * s * la),
+                          policy, local)
+        return value, local.peak
+
+    for p, ((phi1, peak1), (phi2, peak2)) in zip(range(pt.n + 1), _rungs(rung, first=-1)):
         tp = 2.0 ** -p
         e1 = cmath.exp(_I * m * tp)
         c1 = tp * e1 * principal_pow(_I * tp, k) * e1
         c2 = tp * e1 * principal_pow(_I * tp * 0.5, k)
-        local = CancellationMeter()
-        phi1 = lerch_phi(LerchParams(-cmath.exp(_I * 2.0 * tp * m), -k,
-                                     1.0 - _I * 2.0 ** (p - 1) * la), policy, local)
-        phi2 = lerch_phi(LerchParams(-cmath.exp(_I * tp * m), -k,
-                                     1.0 - _I * 2.0 ** p * la), policy, local)
-        meter.note(local.peak * max(abs(c1), abs(c2)))
+        meter.note(max(peak1, peak2) * max(abs(c1), abs(c2)))
         yield c1 * phi1
         yield -c2 * phi2
 
@@ -343,10 +349,8 @@ def _id01_constraints(pt, margin):
     la = principal_log(complex(pt.a))
     if abs(la) > 2.0 ** -pt.n:
         return False
-    for p in range(pt.n + 1):
-        if _dist_nonpositive_integer(1.0 - _I * 2.0 ** (p - 1) * la) < margin:
-            return False
-        if _dist_nonpositive_integer(1.0 - _I * 2.0 ** p * la) < margin:
+    for q in range(-1, pt.n + 1):  # the left side's shifts 1 - i 2^q log a
+        if _dist_nonpositive_integer(1.0 - _I * 2.0 ** q * la) < margin:
             return False
     if _dist_nonpositive_integer(0.5 * (1.0 - _I * 2.0 ** pt.n * la)) < margin:
         return False
@@ -737,14 +741,17 @@ def _id13_rhs(pt, policy, meter):
 
 def _id14_lhs(pt, policy, meter):
     m, k = complex(pt.m), complex(pt.k)
-    for p in range(pt.n + 1):
+
+    def rung(s):
+        local = CancellationMeter()
+        value = polylog(-k, -cmath.exp(_I * m / s), policy, local)
+        return value, local.peak
+
+    for p, ((li2, peak2), (li1, peak1)) in zip(range(pt.n + 1), _rungs(rung, first=-1)):
         tp = 2.0 ** -p
         c1 = tp * principal_pow(0.5 * tp, k)
         c2 = tp * principal_pow(tp, k)
-        local = CancellationMeter()
-        li1 = polylog(-k, -cmath.exp(_I * tp * m), policy, local)
-        li2 = polylog(-k, -cmath.exp(_I * 2.0 * tp * m), policy, local)
-        meter.note(local.peak * max(abs(c1), abs(c2)))
+        meter.note(max(peak1, peak2) * max(abs(c1), abs(c2)))
         yield c1 * li1
         yield -c2 * li2
 

@@ -355,9 +355,50 @@ def id13_lhs_per_term(pt, policy, meter):
         ], meter)
 
 
-PER_TERM_LHS = {"ID-07": id07_lhs_per_term, "ID-08": id08_lhs_per_term,
-                "ID-09": id09_lhs_per_term, "ID-11": id11_lhs_per_term,
-                "ID-13": id13_lhs_per_term}
+def id01_lhs_per_term(pt, policy, meter):
+    from lerchsum import LerchParams, lerch_phi, principal_log, principal_pow
+    from lerchsum.identities import _I
+    from lerchsum.numerics import CancellationMeter
+
+    a, m, k = complex(pt.a), complex(pt.m), complex(pt.k)
+    la = principal_log(a)
+    for p in range(pt.n + 1):
+        tp = 2.0 ** -p
+        e1 = cmath.exp(_I * m * tp)
+        c1 = tp * e1 * principal_pow(_I * tp, k) * e1
+        c2 = tp * e1 * principal_pow(_I * tp * 0.5, k)
+        local = CancellationMeter()
+        phi1 = lerch_phi(LerchParams(-cmath.exp(_I * 2.0 * tp * m), -k,
+                                     1.0 - _I * 2.0 ** (p - 1) * la), policy, local)
+        phi2 = lerch_phi(LerchParams(-cmath.exp(_I * tp * m), -k,
+                                     1.0 - _I * 2.0 ** p * la), policy, local)
+        meter.note(local.peak * max(abs(c1), abs(c2)))
+        yield c1 * phi1
+        yield -c2 * phi2
+
+
+def id14_lhs_per_term(pt, policy, meter):
+    from lerchsum import polylog, principal_pow
+    from lerchsum.identities import _I
+    from lerchsum.numerics import CancellationMeter
+
+    m, k = complex(pt.m), complex(pt.k)
+    for p in range(pt.n + 1):
+        tp = 2.0 ** -p
+        c1 = tp * principal_pow(0.5 * tp, k)
+        c2 = tp * principal_pow(tp, k)
+        local = CancellationMeter()
+        li1 = polylog(-k, -cmath.exp(_I * tp * m), policy, local)
+        li2 = polylog(-k, -cmath.exp(_I * 2.0 * tp * m), policy, local)
+        meter.note(local.peak * max(abs(c1), abs(c2)))
+        yield c1 * li1
+        yield -c2 * li2
+
+
+PER_TERM_LHS = {"ID-01": id01_lhs_per_term, "ID-07": id07_lhs_per_term,
+                "ID-08": id08_lhs_per_term, "ID-09": id09_lhs_per_term,
+                "ID-11": id11_lhs_per_term, "ID-13": id13_lhs_per_term,
+                "ID-14": id14_lhs_per_term}
 
 
 # ------------------------------------------------ rung-by-rung pole ladders

@@ -130,3 +130,22 @@ def test_phi_work_counts_series_and_tail_terms(bench_record, monkeypatch):
     assert (rows[0]["tail_terms"], rows[0]["tail_added"]) == (0, False)
     assert rows[1]["tail_terms"] > 0 and rows[1]["tail_added"]
     assert rows[1]["args"] == bench_record.hex_args((0.995j, 1.5 - 0.5j, 1.2 + 0.3j))
+
+
+def test_phi_suite_work_counts_each_rung_once(bench_record, monkeypatch):
+    # ID-14's left side makes n + 2 polylog calls and its right side none;
+    # tracing leaves the traced names as they were
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    from lerchsum import functions
+
+    traced = (lerchsum.polylog, functions.lerch_phi)
+    work = bench_record.phi_suite_work(lerchsum, ["ID-14"], seed=5, count=3)
+    assert (lerchsum.polylog, functions.lerch_phi) == traced
+    points = lerchsum.sample_points(lerchsum.get_identity("ID-14"),
+                                    lerchsum.default_strategy("ID-14", count=3, seed=5))
+    assert work["functions.polylog.calls"] == sum(pt.n + 2 for pt in points)
+    phi_calls = sum(v for name, v in work.items() if name.startswith("functions.lerch_phi."))
+    assert phi_calls == work["functions.polylog.calls"] + 2 * len(points)
+    assert set(work) == {"numerics.principal_pow_calls", "functions.polylog.calls",
+                         *(f"functions.lerch_phi.{band}.calls"
+                           for band in ("inner", "mid", "outer", "rim"))}

@@ -192,8 +192,18 @@ def test_suite_bad_tolerance_is_config_error(tmp_path, monkeypatch, capsys):
 
 def test_suite_unknown_filter_id(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run_cli(["suite", "--filter", "ID-77"], capsys)
+    for ids in ("ID-77", ","):  # an unknown id, and a filter that names no id
+        code, _, _ = run_cli(["suite", "--filter", ids], capsys)
+        assert code == 2, ids
+        assert not (tmp_path / "suite_report.json").exists()
+
+
+@pytest.mark.parametrize("command", [["verify", "ID-00"], ["suite", "--filter", "ID-00"]])
+def test_unwritable_report_path_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "r.json"
+    code, _, err = run_cli(command + ["--count", "2", "--out", str(out)], capsys)
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_suite_reports_are_deterministic(tmp_path, monkeypatch, capsys):

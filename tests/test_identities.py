@@ -289,15 +289,19 @@ def _counting(monkeypatch, names):
 
 # calls each dyadic left side makes at n: every rung once per side
 LADDER_CALLS = {
+    "ID-01": lambda n: {"lerch_phi": n + 2},
     "ID-07": lambda n: {"log_gamma": 2 * (n + 2)},
     "ID-08": lambda n: {"log_gamma": 2 * (n + 2)},
     "ID-09": lambda n: {"digamma": 2 * (n + 2)},
     "ID-11": lambda n: {"log_gamma": n + 1},
     "ID-13": lambda n: {"harmonic": 2 * (n + 2), "stieltjes_gamma1": 2 * (n + 2)},
+    "ID-14": lambda n: {"polylog": n + 2},
 }
-LADDER_POINTS = {"ID-07": EvalPoint(a=3.7), "ID-08": EvalPoint(a=3.7),
+LADDER_POINTS = {"ID-01": EvalPoint(a=1.001 + 0.002j, m=1.1 + 0.9j, k=0.7 + 0.3j),
+                 "ID-07": EvalPoint(a=3.7), "ID-08": EvalPoint(a=3.7),
                  "ID-09": EvalPoint(a=3.7), "ID-11": EvalPoint(x=0.4),
-                 "ID-13": EvalPoint(a=3.7)}
+                 "ID-13": EvalPoint(a=3.7),
+                 "ID-14": EvalPoint(m=1.1 + 0.9j, k=0.7 + 0.3j)}
 
 
 @pytest.mark.parametrize("identity_id", sorted(LADDER_CALLS))

@@ -92,6 +92,9 @@ def test_main_theorem_sampler_honors_log_guard():
     for pt in sample_points(spec, default_strategy("ID-01", count=20, seed=3)):
         assert pt.m.imag >= 0.5
         assert abs(cmath.log(pt.a)) <= 2.0 ** -pt.n + 1e-15
+        # within the guard, the shift 1 - i 2^n log a = 0.01 sits by Phi's pole at 0
+        near_pole = dataclasses.replace(pt, a=cmath.exp(-0.99j * 2.0 ** -pt.n))
+        assert not spec.constraints(near_pole, DEFAULT_POLE_MARGIN)
 
 
 # ----------------------------------------------------------------- verifying
