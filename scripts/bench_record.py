@@ -19,7 +19,7 @@ checkout that holds this script), in eight sections:
 4. traced: the count and byte metrics of `bench/run.py --trace 1` of both
    workloads at TRACE_SEED;
 5. side_times: the two sides of every identity over its 100 sampled points
-   at TRACE_SEED (ID-12's left side is its trend gate);
+   at TRACE_SEED, each through `evaluate_side`;
 6. named_sets: the outcome, a value bit for bit or the exception raised,
    of `lerch_phi_integral` on the eval-mix integral calls at SEEDS and on
    the rim and wide sets (and their confirm sets), of `hurwitz_zeta`
@@ -256,14 +256,9 @@ def _task_sides(seed: int) -> dict:
     for spec in lerchsum.list_identities():
         points = lerchsum.sample_points(
             spec, lerchsum.default_strategy(spec.id, count=COUNT, seed=seed))
-        if spec.trend is not None:
-            lhs = [lambda pt=pt, gate=spec.trend: gate.partial_products(pt.x) for pt in points]
-        else:
-            lhs = [lambda pt=pt, spec=spec: evaluate_side(
-                "lhs", spec.lhs, pt, policy, CancellationMeter()) for pt in points]
-        rhs = [lambda pt=pt, spec=spec: evaluate_side(
-            "rhs", spec.rhs, pt, policy, CancellationMeter()) for pt in points]
-        for side, thunks in (("lhs", lhs), ("rhs", rhs)):
+        for side in ("lhs", "rhs"):
+            thunks = [lambda pt=pt, side=side, expr=getattr(spec, side): evaluate_side(
+                side, expr, pt, policy, CancellationMeter()) for pt in points]
             keys.append(f"{spec.id}.{side}")
             units.append(partial(_run_each, thunks))
     _, times, scale = _timed(units, SIDE_PASSES, 1)

@@ -528,10 +528,13 @@ def _zeta_kernel(s: complex, a: complex, order: int, rows: tuple, policy: Precis
     heads = map(a.__add__, range(n))
     terms = [v ** minus_s * log(v) for v in heads] if order else [v ** minus_s for v in heads]
     w_s, log_w = w ** minus_s, log(w)
+    w_1s, inv2 = w * w_s, 1.0 / (w * w)
+    if not (0.0 < abs(w_1s) < math.inf and abs(inv2) < math.inf):  # the plain powers overflowed
+        w_s, w_1s, inv2 = cmath.exp(minus_s * log_w), cmath.exp((1 - s) * log_w), (1 / w) ** 2
     log_w_j = log_w if order else 1.0
     terms.append(log_w * log_w * -0.5 if s == 1
-                 else w * w_s * (log_w_j + order / (s - 1.0)) / (s - 1.0))
-    u, inv2, tail = w_s / w, 1.0 / (w * w), w_s * log_w_j * 0.5  # complex first: faster
+                 else w_1s * (log_w_j + order / (s - 1.0)) / (s - 1.0))
+    u, tail = w_s / w, w_s * log_w_j * 0.5
     mass = sum(map(abs, terms)) + abs(tail)
     for coeff, rise, slope in zip(_ZETA_BERNOULLI, rises, slopes):
         term = (log_w_j * rise - slope if order else rise) * coeff * u

@@ -14,7 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .functions import (
     LerchParams,
@@ -112,20 +114,18 @@ class SideExpr:
 
 @dataclass(frozen=True)
 class TrendGate:
-    """Convergence gate for the limit identity: errors over n in [n_lo, n_hi]
-    must decrease monotonically and the final one must be below final_tol.
+    """Convergence gate for a limit identity whose left side yields the n_hi
+    factors of a product: the errors |P_n - L| of its running products P_n
+    against the right side's limit L, n in [n_lo, n_hi], must decrease
+    strictly and the last must be below the entry's tol."""
 
-    prefixes(x, n) yields the partial products P_1, ..., P_n of one running
-    product, so the whole trend costs n factors."""
-
-    prefixes: Callable[[complex, int], Iterator[complex]]
     n_lo: int
     n_hi: int
-    final_tol: float
 
-    def partial_products(self, x: complex) -> list:
-        """[P_n for n in n_lo..n_hi]."""
-        return list(self.prefixes(complex(x), self.n_hi))[self.n_lo - 1:]
+    def partial_products(self, factors: Iterable[complex]) -> list:
+        """[P_n for n in n_lo..n_hi], P_n the product of the first n factors,
+        each P_n computed as the product side computes its value."""
+        return list(accumulate(factors, mul, initial=1 + 0j))[self.n_lo:]
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ class IdentitySpec:
     """One registry entry and everything the verifier needs to check it.
 
     tol is the comparison tolerance: a point passes when its metric is at
-    most tol * max(1, cond).  region's keys are the entry's fields: it maps
+    most tol * max(1, cond), or with a trend gate when its last error is
+    below tol.  region's keys are the entry's fields: it maps
     each to its sampling box ((re_lo, re_hi), (im_lo, im_hi)) or, as it
     always maps "n", to an inclusive integer range (lo, hi).  lift, when
     set, maps the drawn field values to the point's values, for a field
@@ -349,9 +350,8 @@ def _id01_constraints(pt, margin):
     la = principal_log(complex(pt.a))
     if abs(la) > 2.0 ** -pt.n:
         return False
-    for q in range(-1, pt.n + 1):  # the left side's shifts 1 - i 2^q log a
-        if _dist_nonpositive_integer(1.0 - _I * 2.0 ** q * la) < margin:
-            return False
+    # the guard keeps the left side's shifts 1 - i 2^q log a at Re >= 1/2 for
+    # q < n, and the q = n one is twice the first shift checked here
     if _dist_nonpositive_integer(0.5 * (1.0 - _I * 2.0 ** pt.n * la)) < margin:
         return False
     return _dist_nonpositive_integer(0.5 - 0.25 * _I * la) >= margin
@@ -493,20 +493,7 @@ def _id06_rhs(pt, policy, meter):
 # --------------------------------------------------------------------------
 
 def _id07_lhs(pt, policy, meter):
-    la = principal_log(complex(pt.a))
-    for p, (scaled_lo, scaled_hi), (shifted_lo, shifted_hi) in zip(
-            range(pt.n + 1),
-            _rungs(lambda s: log_gamma(-_I * 0.25 * s * la)),
-            _rungs(lambda s: log_gamma(0.25 * (-_I * s * la - 2.0)))):
-        tp = 2.0 ** -p
-        sp = 2.0 ** p
-        yield tp * compensated_sum([
-            2.0 * scaled_lo,
-            -2.0 * scaled_hi,
-            -2.0 * shifted_lo,
-            2.0 * shifted_hi,
-            principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
-        ], meter, tp)
+    return _log_gamma_ladder(-_I * principal_log(complex(pt.a)), pt.n, meter)
 
 
 def _id07_rhs(pt, policy, meter):
@@ -537,10 +524,13 @@ def _real_a_constraints(lo: float, hi: float):
 # ID-08: log-gamma sum, real-argument alternate form
 # --------------------------------------------------------------------------
 
-def _id08_lhs(pt, policy, meter):
-    a = complex(pt.a)
+def _log_gamma_ladder(a: complex, n: int, meter: CancellationMeter) -> Iterator[complex]:
+    """Terms p = 0..n of ID-08's left side at a, each rung evaluated once.
+    ID-07's left side is this at a = -i log a', bit for bit: times -i only
+    swaps parts, so the rungs' arguments match, and the last term's ratio
+    has numerator and denominator negated."""
     for p, (scaled_lo, scaled_hi), (shifted_lo, shifted_hi) in zip(
-            range(pt.n + 1),
+            range(n + 1),
             _rungs(lambda s: log_gamma(0.25 * s * a)),
             _rungs(lambda s: log_gamma(0.25 * (s * a - 2.0)))):
         tp = 2.0 ** -p
@@ -552,6 +542,10 @@ def _id08_lhs(pt, policy, meter):
             2.0 * shifted_hi,
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
         ], meter, tp)
+
+
+def _id08_lhs(pt, policy, meter):
+    return _log_gamma_ladder(complex(pt.a), pt.n, meter)
 
 
 def _id08_rhs(pt, policy, meter):
@@ -654,19 +648,11 @@ def _id11_constraints(pt, margin):
             and abs(complex(pt.x).real - 2.0 ** -pt.n) >= margin)
 
 
-def _nielsen_prefixes(x: complex, n: int) -> Iterator[complex]:
-    """The running products of the ratio factors p = 1..n."""
-    value = 1 + 0j
-    for e in _nielsen_exponents(x, n):
-        value *= cmath.exp(e)
-        yield value
-
-
 def nielsen_partial_product(x: complex, n: int) -> complex:
     """Product of the first n ratio factors (p = 1..n), in log space."""
     value = 1 + 0j
-    for value in _nielsen_prefixes(complex(x), n):
-        pass  # the last running product is the n-th
+    for e in _nielsen_exponents(complex(x), n):
+        value *= cmath.exp(e)
     return value
 
 
@@ -679,14 +665,16 @@ def nielsen_limit(x: complex) -> complex:
 
 # --------------------------------------------------------------------------
 # ID-12: the infinite limiting case, checked as a convergence trend.
-# The lhs evaluator reports the truncation at the gate's upper n.
+# The lhs yields ID-11's factors up to the gate's upper n.
 # --------------------------------------------------------------------------
 
-_ID12_GATE = TrendGate(_nielsen_prefixes, n_lo=4, n_hi=12, final_tol=1e-6)
+_ID12_GATE = TrendGate(n_lo=4, n_hi=12)
 
 
 def _id12_lhs(pt, policy, meter):
-    yield from _id11_lhs(replace(pt, n=_ID12_GATE.n_hi), policy, meter)
+    for e in _nielsen_exponents(complex(pt.x), _ID12_GATE.n_hi):
+        meter.note(abs(e))
+        yield cmath.exp(e)
 
 
 def _id12_rhs(pt, policy, meter):
@@ -899,7 +887,7 @@ _REGISTRY = (
         id="ID-12", title="nielsen-infinite", compare_mode="relative",
         lhs=SideExpr("product", _id12_lhs), rhs=SideExpr("product", _id12_rhs),
         constraints=_id12_constraints,
-        tol=_ID12_GATE.final_tol,
+        tol=1e-6,
         region={"x": ((0.05, 0.95), (0.0, 0.0))},
         trend=_ID12_GATE,
     ),

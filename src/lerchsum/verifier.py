@@ -152,23 +152,23 @@ def _judge(mode: str, lhs: complex, rhs: complex, cond: float, tol: float,
 
 
 def _verify_trend_point(spec, index, point, policy, tol):
-    gate = spec.trend
-    x = point.x
+    """A limit identity's point: it passes when |P_n - L| falls strictly over
+    spec.trend's n range and its last value is below tol, P_n the running
+    products of the left side's factors and L the right side."""
+    meter = CancellationMeter()
     try:
-        meter = CancellationMeter()
         limit = evaluate_side("rhs", spec.rhs, point, policy, meter)
-        products = gate.partial_products(x)
-        errs = [abs(p - limit) for p in products]
-        last = products[-1]
-    except (SideEvaluationError, DomainError, ConvergenceError,
-            ZeroDivisionError, OverflowError) as exc:
+        products = spec.trend.partial_products(
+            side_terms("lhs", spec.lhs, point, policy, meter))
+    except (SideEvaluationError, DomainError, ConvergenceError) as exc:
         return VerificationResult(spec.id, index, point, None, None, None, None,
                                   1.0, False, "trend", tol, error=str(exc))
+    errs = [abs(p - limit) for p in products]
+    last = products[-1]
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    final_ok = errs[-1] < gate.final_tol
     rel = errs[-1] / max(abs(last), abs(limit), policy.abs_tol)
     return VerificationResult(spec.id, index, point, last, limit, errs[-1],
-                              rel, 1.0, monotone and final_ok, "trend", tol)
+                              rel, 1.0, monotone and errs[-1] < tol, "trend", tol)
 
 
 def _verify_one_point(spec, index, point, policy, tol):

@@ -434,3 +434,28 @@ def pole_ladder_check(identity_id, pt, margin):
              + [(c, 0.0) for c in sin_scales(pt.n)])
     return all(_dist_to_zeros(complex(getattr(pt, name)), scale, offset) >= margin
                for name in names for scale, offset in rungs)
+
+
+# ------------------------------------------- ID-01's shift-by-shift domain check
+# The registry's ID-01 predicate leaves out the left side's shifts
+# 1 - i 2^q log a, q = -1..n, which its guard |log a| <= 2^-n keeps off the
+# poles; this is the check it replaced, every shift on its own.
+
+def _dist_nonpositive_integers(v):
+    return math.hypot(v.real - min(0.0, round(v.real)), v.imag)
+
+
+def id01_constraints_by_shifts(pt, margin):
+    """True when pt is in ID-01's domain, each Phi shift checked on its own."""
+    from lerchsum import principal_log
+
+    if pt.a is None or pt.m is None or pt.k is None or pt.n is None:
+        return False
+    if complex(pt.m).imag < max(margin, 1e-6):
+        return False
+    la = principal_log(complex(pt.a))
+    if abs(la) > 2.0 ** -pt.n:
+        return False
+    shifts = ([1.0 - 1j * 2.0 ** q * la for q in range(-1, pt.n + 1)]
+              + [0.5 * (1.0 - 1j * 2.0 ** pt.n * la), 0.5 - 0.25j * la])
+    return all(_dist_nonpositive_integers(v) >= margin for v in shifts)

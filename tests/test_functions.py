@@ -723,6 +723,20 @@ def test_zeta_below_the_bernoulli_table_names_its_reach(policy):
         assert "reach" not in str(exc)
 
 
+def test_zeta_and_gamma1_at_huge_a(policy):
+    # past |a| ~ 1.3e154, a * a overflows and (1e308+0j)**-2 is nan+nanj;
+    # at s = 3 and a = 1e110, a**3 overflows and a**-3 turns 0.  The leading
+    # Euler-Maclaurin terms carry the value: a^(1-s)/(s-1) + a^(-s)/2 for
+    # zeta, -L^2/2 + L/(2a) with L = log a for gamma_1
+    for s, a in ((2.0, 1e200), (2.0, 1e308), (3.0, 1e110)):
+        expected = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s
+        assert abs(hurwitz_zeta(s, a, policy) - expected) <= 1e-12 * expected, (s, a)
+    a = complex(1e300, 1e300)
+    log_a = cmath.log(a)
+    expected = -0.5 * log_a * log_a + log_a / (2.0 * a)
+    assert abs(stieltjes_gamma1(a, policy) - expected) <= 1e-12 * abs(expected)
+
+
 def test_zeta_kernel_order_one_is_minus_the_s_derivative(policy):
     # -d/ds zeta(s, a) off s = 1, against a central difference of hurwitz_zeta
     rng = seeded(47)

@@ -22,7 +22,8 @@ from lerchsum.identities import SideEvaluationError, evaluate_side, side_terms
 from lerchsum.numerics import CancellationMeter, SumOverflowError, compensated_sum
 from lerchsum.verifier import DEFAULT_POLE_MARGIN, default_strategy, sample_points
 from helpers import (PER_TERM_LHS, POLE_LADDERS, NeumaierSum, extreme_sequences,
-                     nielsen_prefixes_per_term, pole_ladder_check, seeded)
+                     id01_constraints_by_shifts, nielsen_prefixes_per_term,
+                     pole_ladder_check, seeded)
 
 PI = math.pi
 
@@ -52,13 +53,20 @@ def test_registry_modes():
     assert get_identity("ID-12").trend is not None
 
 
-def test_trend_gate_prefixes_equal_partial_products():
+def _trend_products(x, policy):
+    """The trend gate's P_n, n = 4..12, from ID-12's registry left side at x."""
+    spec = get_identity("ID-12")
+    factors = side_terms("lhs", spec.lhs, EvalPoint(x=x), policy, CancellationMeter())
+    return spec.trend.partial_products(factors)
+
+
+def test_trend_gate_prefixes_equal_partial_products(policy):
     # one running product over p = 1..n_hi gives every P_n bit for bit
     gate = get_identity("ID-12").trend
     assert (gate.n_lo, gate.n_hi) == (4, 12)
     for x in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
         expected = [nielsen_partial_product(x, n) for n in range(4, 13)]
-        assert gate.partial_products(x) == expected
+        assert _trend_products(x, policy) == expected
 
 
 def test_titles_are_stable_cli_strings():
@@ -135,6 +143,27 @@ def test_one_pole_lattice_equals_the_rung_by_rung_ladders():
             pt = EvalPoint(n=rng.randint(0, 10), **fields)
             assert spec.constraints(pt, margin) == pole_ladder_check(identity_id, pt, margin), \
                 (identity_id, pt)
+
+
+def test_id01_domain_equals_the_shift_by_shift_check():
+    # 2,000 points, n = 0..8, at margins 1e-9 (evaluate_sides'), 0.05 (the
+    # sampler's), 0.3 and 0.5; half put 2^n log a within 1.1 of -i, where
+    # the right side's shift 0.5 (1 - i 2^n log a) nears its pole at 0
+    spec = get_identity("ID-01")
+    rng = seeded(20240612)
+    outcomes = {margin: set() for margin in (1e-9, 0.05, 0.3, 0.5)}
+    for i in range(2000):
+        n = rng.randint(0, 8)
+        offset = cmath.rect(rng.uniform(0.0, 1.1 if i % 2 else 1.05), rng.uniform(-PI, PI))
+        la = 2.0 ** -n * (offset - 1j if i % 2 else offset)
+        pt = EvalPoint(a=cmath.exp(la), n=n,
+                       m=complex(rng.uniform(0.2, 2.5), rng.uniform(-0.1, 2.0)),
+                       k=complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)))
+        for margin, seen in outcomes.items():
+            inside = spec.constraints(pt, margin)
+            assert inside == id01_constraints_by_shifts(pt, margin), (pt, margin)
+            seen.add(inside)
+    assert all(seen == {True, False} for seen in outcomes.values())
 
 
 def test_point_n_cap():
@@ -316,9 +345,9 @@ def test_dyadic_sides_evaluate_each_rung_once(identity_id, monkeypatch, policy):
         assert counts == expected, (identity_id, n)
 
 
-def test_trend_gate_evaluates_each_rung_once(monkeypatch):
+def test_trend_gate_evaluates_each_rung_once(monkeypatch, policy):
     counts = _counting(monkeypatch, ["log_gamma"])
-    get_identity("ID-12").trend.partial_products(0.4)
+    _trend_products(0.4, policy)
     assert counts == {"log_gamma": 13}
 
 
@@ -337,8 +366,7 @@ def test_carried_rungs_equal_the_per_term_sides(identity_id, policy):
         assert sides[0] == sides[1], (identity_id, pt)
 
 
-def test_trend_gate_equals_the_per_term_products():
-    gate = get_identity("ID-12").trend
+def test_trend_gate_equals_the_per_term_products(policy):
     rng = seeded(20240608)
     for x in [0.05, 0.95] + [rng.uniform(0.05, 0.95) for _ in range(40)]:
-        assert gate.partial_products(x) == list(nielsen_prefixes_per_term(complex(x), 12))[3:]
+        assert _trend_products(x, policy) == list(nielsen_prefixes_per_term(complex(x), 12))[3:]

@@ -220,9 +220,15 @@ def test_suite_rejects_unknown_override(policy):
 
 
 def test_suite_override_is_reflected(policy):
-    report = run_suite(policy, tols={"ID-13": 1e-5}, count=4, seed=11, ids=["ID-13"])
-    assert report.rows[0].tol == 1e-5
-    assert report.rows[0].mode == "absolute"
+    # the row states the bound its verdicts used: ID-12's trend gate, red at
+    # its own 1e-6, passes every point at 1.0
+    for identity_id, tol, mode in (("ID-13", 1e-5, "absolute"), ("ID-12", 1.0, "trend")):
+        report = run_suite(policy, tols={identity_id: tol}, count=4, seed=11,
+                           ids=[identity_id])
+        row = report.rows[0]
+        assert (row.tol, row.mode) == (tol, mode)
+        assert all(r.tol == tol for r in row.results)
+        assert row.all_passed, identity_id
 
 
 def test_suite_determinism_excluding_volatile_meta(policy):
