@@ -2,7 +2,7 @@
 """Write the fixed-seed record that compares two checkouts (BENCH_*.json).
 
 Compares a parent checkout of this repository with a change (default: the
-checkout that holds this script), in eight sections:
+checkout that holds this script), in nine sections:
 
 1. bench_pairs: alternating `bench/run.py` pairs of both workloads, one
    seed per pair (FIRST_BENCH_SEED, FIRST_BENCH_SEED + 1, ...), with
@@ -16,22 +16,26 @@ checkout that holds this script), in eight sections:
    ids: exit codes, failing ids, CSV and stdout byte for byte, and the
    JSON report's `identities` array and non-volatile `meta`, each compared
    on its own;
-4. traced: the count and byte metrics of `bench/run.py --trace 1` of both
+4. budgets: per identity and seed of SEEDS, the p50, p90 and max of each
+   point's cond and of its pass budget tol * max(1, cond), the worst
+   error / budget, and each id's growth of the max budget, change over
+   parent;
+5. traced: the count and byte metrics of `bench/run.py --trace 1` of both
    workloads at TRACE_SEED;
-5. side_times: the two sides of every identity over its 100 sampled points
+6. side_times: the two sides of every identity over its 100 sampled points
    at TRACE_SEED, each through `evaluate_side`;
-6. named_sets: the outcome, a value bit for bit or the exception raised,
+7. named_sets: the outcome, a value bit for bit or the exception raised,
    of `lerch_phi_integral` on the eval-mix integral calls at SEEDS and on
    the rim and wide sets (and their confirm sets), of `hurwitz_zeta`
    (Re s in (-1, 3) and in (-15, -1)) and `stieltjes_gamma1` on their sets,
    and of `log_gamma` and `digamma` on one set of the positive real axis
    (z = 10^u and z by the shift line Re z = 10, Im z = +0.0 and -0.0);
-7. phi_work: the series terms and tail terms that the eval-mix
+8. phi_work: the series terms and tail terms that the eval-mix
    `lerch_phi` and `polylog` calls sum at each of SEEDS, per call kind
    (the |z| bands and polylog), and how many calls add the large-shift
    tail.  Each call moved in section 2 is priced against mpmath, its
    error set against rel_tol * max(1, cond) with the change's cond;
-8. phi_suite: `lerchsum suite --filter ID-01,ID-04,ID-14`, the three Phi
+9. phi_suite: `lerchsum suite --filter ID-01,ID-04,ID-14`, the three Phi
    identities, timed at each of SEEDS, and the Phi work of one untimed
    `run_suite` of them per seed under `bench/tracing.py`'s Tracer: its
    `lerch_phi` calls per |z| band, `polylog` calls and `principal_pow`
@@ -246,10 +250,14 @@ def _run_each(thunks: list) -> None:
 
 
 def _task_sides(seed: int) -> dict:
-    """Every identity's two sides over its sampled points, SIDE_PASSES timed passes."""
+    """Every identity's two sides over its sampled points, SIDE_PASSES timed
+    passes, each side given the accumulator its checkout's `evaluate_side`
+    takes: an ErrorScale, or before it a CancellationMeter."""
     import lerchsum
+    from lerchsum import numerics
     from lerchsum.identities import evaluate_side
-    from lerchsum.numerics import CancellationMeter
+
+    scale_cls = getattr(numerics, "ErrorScale", None) or numerics.CancellationMeter
 
     policy = lerchsum.PrecisionPolicy()
     keys, units = [], []
@@ -258,7 +266,7 @@ def _task_sides(seed: int) -> dict:
             spec, lerchsum.default_strategy(spec.id, count=COUNT, seed=seed))
         for side in ("lhs", "rhs"):
             thunks = [lambda pt=pt, side=side, expr=getattr(spec, side): evaluate_side(
-                side, expr, pt, policy, CancellationMeter()) for pt in points]
+                side, expr, pt, policy, scale_cls()) for pt in points]
             keys.append(f"{spec.id}.{side}")
             units.append(partial(_run_each, thunks))
     _, times, scale = _timed(units, SIDE_PASSES, 1)
@@ -300,6 +308,48 @@ def _task_suite(seed: int) -> dict:
                                           if r["passed"] != r["count"]]
                 out[f"{ids}@{suite_seed}"] = row
     return out
+
+
+def _quantiles(values: list) -> dict:
+    """p50, p90 (inclusive) and max of two or more values."""
+    return {"p50": statistics.median(values),
+            "p90": statistics.quantiles(values, n=10, method="inclusive")[8],
+            "max": max(values)}
+
+
+def _error(result, abs_tol: float) -> float:
+    """The error that result's verdict set against its budget."""
+    if result.mode in ("absolute", "trend"):
+        return result.abs_err
+    if result.mode == "mod_2pi_i":
+        d = result.lhs - result.rhs - complex(0.0, 2.0 * math.pi * result.branch_integer)
+        return abs(d) / max(abs(result.lhs), abs(result.rhs), abs_tol)
+    return result.rel_err
+
+
+def budget_stats(lerchsum, seed: int, count: int = COUNT) -> dict:
+    """Per registry id at seed: the quantiles of cond and of the budget
+    tol * max(1, cond) over its points, the worst error / budget over the
+    points that evaluated, and how many did not."""
+    policy = lerchsum.PrecisionPolicy()
+    report = lerchsum.run_suite(policy, count=count, seed=seed)
+    out = {}
+    for row in report.rows:
+        done = [r for r in row.results if r.error is None]
+        out[row.identity_id] = {
+            "cond": _quantiles([r.cond for r in row.results]),
+            "budget": _quantiles([r.tol * max(1.0, r.cond) for r in row.results]),
+            "worst_err_over_budget": max((_error(r, policy.abs_tol) / (r.tol * max(1.0, r.cond))
+                                          for r in done), default=None),
+            "errors": len(row.results) - len(done)}
+    return out
+
+
+def _task_budgets(seed: int) -> dict:
+    """budget_stats at every seed of SEEDS."""
+    import lerchsum
+
+    return {str(s): budget_stats(lerchsum, s) for s in SEEDS}
 
 
 def _task_sets(seed: int) -> dict:
@@ -420,7 +470,7 @@ def _task_phi_suite(seed: int) -> dict:
 
 
 TASKS = {"calls": _task_calls, "sides": _task_sides, "suite": _task_suite, "sets": _task_sets,
-         "phi_work": _task_phi_work, "phi_suite": _task_phi_suite}
+         "budgets": _task_budgets, "phi_work": _task_phi_work, "phi_suite": _task_phi_suite}
 
 
 def _child(task: str, root: Path, seed: int) -> dict:
@@ -577,6 +627,20 @@ def suite(roots: dict) -> dict:
                 if old_meta.get(k, MISSING) != new_meta.get(k, MISSING)),
             "json_bytes": {side: data[key]["json_bytes"] for side, data in sides.items()},
         }
+    return record
+
+
+def budgets(roots: dict) -> dict:
+    """budget_stats of both checkouts, and per id and seed the change's max
+    budget over the parent's."""
+    sides = {side: _run_child(roots[side], "budgets") for side in SIDES}
+    record = {"count": COUNT}
+    for seed in map(str, SEEDS):
+        record[seed] = {
+            spec_id: {**{side: sides[side][seed][spec_id] for side in SIDES},
+                      "max_budget_factor": (sides["change"][seed][spec_id]["budget"]["max"]
+                                            / old["budget"]["max"])}
+            for spec_id, old in sides["parent"][seed].items()}
     return record
 
 
@@ -756,6 +820,7 @@ def main(argv=None) -> int:
         record["bench_pairs"] = bench_pairs(roots, args.pairs, args.seconds)
     record["eval_mix_calls"] = eval_mix_calls(roots)
     record["suite"] = suite(roots)
+    record["budgets"] = budgets(roots)
     record[f"traced_seed_{TRACE_SEED}"] = traced(roots)
     record[f"side_times_seed_{TRACE_SEED}"] = side_times(roots)
     record["named_sets"] = named_set_outcomes(roots)

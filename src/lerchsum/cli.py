@@ -75,9 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--count", type=int, default=100)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--tol-rel", type=float, default=None,
-                       help="override tolerance for non-absolute-mode identities")
+                       help="override tolerance for relative- and mod_2pi_i-mode identities")
         p.add_argument("--tol-abs", type=float, default=None,
-                       help="override tolerance for absolute-mode identities")
+                       help="override tolerance for absolute-mode identities and trend "
+                            "rows (ID-12), whose gate bounds the absolute error |P_n - L|")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="report file path")
 
@@ -135,7 +136,8 @@ def _run_and_write(args, ids: Optional[list]) -> SuiteReport:
     specs = list_identities() if ids is None else [get_identity(i) for i in ids]
     tols = {}
     for spec in specs:
-        tol = args.tol_abs if spec.compare_mode == "absolute" else args.tol_rel
+        absolute = spec.trend is not None or spec.compare_mode == "absolute"
+        tol = args.tol_abs if absolute else args.tol_rel
         if tol is not None:
             tols[spec.id] = tol
     report = run_suite(PrecisionPolicy(), tols=tols, count=args.count,

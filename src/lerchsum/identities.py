@@ -5,8 +5,8 @@ over a typed parameter point, together with the sampling region, whose
 keys are the entry's fields, the domain constraints (pole avoidance, series
 convergence), and the comparison mode under which the two sides are
 checked.  Sides are decomposed into top-level additive terms (or product
-factors) so that the verifier can both track cancellation and apply
-sign-flip mutations.
+factors) so that the verifier can both propagate their errors to first
+order and apply sign-flip mutations.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .numerics import (
     CancellationMeter,
     ConvergenceError,
     DomainError,
+    ErrorScale,
     PoleError,
     PrecisionPolicy,
     compensated_sum,
@@ -97,7 +98,7 @@ class EvalPoint:
         return frozenset(f.name for f in fields(self) if getattr(self, f.name) is not None)
 
 
-TermGen = Callable[[EvalPoint, PrecisionPolicy, CancellationMeter], Iterator[complex]]
+TermGen = Callable[[EvalPoint, PrecisionPolicy, ErrorScale], Iterator[complex]]
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,12 @@ class IdentitySpec:
 
 
 def side_terms(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy,
-               meter: CancellationMeter) -> list:
-    """The side's raw top-level terms, each failure tagged with its index."""
+               scale: ErrorScale) -> list:
+    """The side's raw top-level terms, each failure tagged with its index;
+    what the terms are built from notes its error scale into scale."""
     out = []
     try:
-        for term in expr.terms(pt, policy, meter):
+        for term in expr.terms(pt, policy, scale):
             out.append(complex(term))
     except (ZeroDivisionError, OverflowError, PoleError, ConvergenceError,
             DomainError, ValueError) as exc:
@@ -167,19 +169,23 @@ def side_terms(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy
 
 
 def evaluate_side(side: str, expr: SideExpr, pt: EvalPoint, policy: PrecisionPolicy,
-                  meter: CancellationMeter) -> complex:
+                  scale: ErrorScale) -> complex:
     """Combine the side's terms: compensated sum, or running product.
 
-    The shared meter only collects peak magnitudes (for the conditioning
-    estimate); each side is accumulated on its own.
+    Adds the side's first-order error scale to scale.  A sum's is absolute:
+    Σ|t_i| over its terms plus what the terms note (their inner sums'
+    weighted Σ|u_j|, a Phi call's peak times its coefficient).  A product's
+    is relative: its factor count, one rounding each, plus what the factors
+    note, the absolute errors of their exponents, which are relative errors
+    of the product.
     """
-    terms = side_terms(side, expr, pt, policy, meter)
+    terms = side_terms(side, expr, pt, policy, scale)
     if expr.kind == "sum":
-        return compensated_sum(terms, meter)
+        return compensated_sum(terms, scale)
+    scale.note(len(terms))
     value = 1 + 0j
     for t in terms:
         value *= t
-        meter.note(abs(value))
     return value
 
 
@@ -471,7 +477,8 @@ def _id06_lhs(pt, policy, meter):
         tp = 2.0 ** -p
         csc2 = _csc(2.0 * tp * x)
         # the cosine combination collapses to O((tp*x)^2) and is then blown
-        # back up by csc; record the absolute amplification of its roundoff
+        # back up by csc: its weighted Σ|u| is the exponent's absolute error
+        # scale, a relative error of the factor
         combo = compensated_sum([cmath.cos(0.5 * tp * x), cmath.cos(1.5 * tp * x),
                                  -3.0 * cmath.cos(tp * x), 1.0 + 0j],
                                 meter, abs(2.0 * tp * csc2))
@@ -524,7 +531,7 @@ def _real_a_constraints(lo: float, hi: float):
 # ID-08: log-gamma sum, real-argument alternate form
 # --------------------------------------------------------------------------
 
-def _log_gamma_ladder(a: complex, n: int, meter: CancellationMeter) -> Iterator[complex]:
+def _log_gamma_ladder(a: complex, n: int, meter: ErrorScale) -> Iterator[complex]:
     """Terms p = 0..n of ID-08's left side at a, each rung evaluated once.
     ID-07's left side is this at a = -i log a', bit for bit: times -i only
     swaps parts, so the rungs' arguments match, and the last term's ratio
@@ -962,7 +969,6 @@ def evaluate_sides(identity_id: str, point: EvalPoint,
         )
     if not spec.constraints(point, 1e-9):
         raise DomainError(f"{identity_id}: point violates domain constraints")
-    meter = CancellationMeter()
-    lhs = evaluate_side("lhs", spec.lhs, point, policy, meter)
-    rhs = evaluate_side("rhs", spec.rhs, point, policy, meter)
+    lhs = evaluate_side("lhs", spec.lhs, point, policy, ErrorScale())
+    rhs = evaluate_side("rhs", spec.rhs, point, policy, ErrorScale())
     return lhs, rhs

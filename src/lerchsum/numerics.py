@@ -6,14 +6,18 @@ its rounding error is computed exactly by ``math.fsum``, through one
 checked ``_fsum(re, im)`` call per sum.  A sum given all at once
 (``compensated_sum``: zeta, gamma_1, the identities' inner sums and sum
 sides) is the fsum of its real and of its imaginary parts, by one path for
-any number of terms; given a meter, it also notes its peak there.  A sum
-streamed in blocks (``CompensatedSum``) keeps the plain running sums plus
-the fsum of each block's rounding error.  ``CancellationMeter`` is a
-CompensatedSum that also records ``peak``, the largest term or running sum
-it has seen.  Only conditioning estimates read ``peak``: the verifier's,
-which scales its tolerances, and the benchmark's eval-mix result check.
-All values are plain Python ``complex``; overflow and NaN are error
-conditions, never results.
+any number of terms; given an ``ErrorScale``, it also adds its weighted
+Σ|t_i| there.  ``ErrorScale`` is the verifier's first-order error
+propagation: one float that every ``note`` adds to, the Σ|t_i| of the
+sums a side is built from (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., §4.2) and the absolute errors of a product's
+exponents.  A sum streamed in blocks (``CompensatedSum``) keeps the plain
+running sums plus the fsum of each block's rounding error.
+``CancellationMeter`` is a CompensatedSum that also records ``peak``, the
+largest term or running sum it has seen; the Phi sides read it for their
+Phi calls, and the benchmark's eval-mix result check reads it.  All values
+are plain Python ``complex``; overflow and NaN are error conditions, never
+results.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "PrecisionPolicy",
     "CompensatedSum",
     "CancellationMeter",
+    "ErrorScale",
     "principal_log",
     "principal_pow",
     "compensated_sum",
@@ -174,9 +179,9 @@ class CancellationMeter(CompensatedSum):
     """Compensated accumulator that remembers its largest excursion.
 
     ``peak`` is the largest magnitude reached by any term or running sum fed
-    through this meter; the verifier divides it by the final result
-    magnitude to get the conditioning estimate that scales its tolerances.
-    Only such estimates read ``peak``, so the special functions sum into a
+    through this meter; the Phi sides of the registry note it, times the
+    Phi call's coefficient, into their side's ErrorScale.  Only such
+    estimates read ``peak``, so the special functions sum into a
     CompensatedSum unless a caller passes a meter.  The running sums and
     compensation are CompensatedSum's, so the value is the same bit for bit.
     """
@@ -206,7 +211,23 @@ class CancellationMeter(CompensatedSum):
             self.peak = m
 
 
-def compensated_sum(terms: Sequence[complex], meter: Optional[CancellationMeter] = None,
+class ErrorScale:
+    """First-order error scale of one side: ``total`` is the sum of every
+    magnitude noted.  A sum side notes the Σ|t_i| of its terms and of the
+    inner sums and Phi calls they are built from, an absolute scale; a
+    product side notes its factor count and the absolute errors of its
+    factors' exponents, a relative scale."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        self.total = 0.0
+
+    def note(self, magnitude: float) -> None:
+        self.total += magnitude
+
+
+def compensated_sum(terms: Sequence[complex], scale: Optional[ErrorScale] = None,
                     weight: float = 1.0) -> complex:
     """Correctly rounded sum, part by part, of a finite sequence of complex,
     real or int terms (empty sum is 0).  Raises SumOverflowError when a term
@@ -214,14 +235,13 @@ def compensated_sum(terms: Sequence[complex], meter: Optional[CancellationMeter]
     or two terms fsum is the plain rounded addition from +0.0, signed zeros
     included.
 
-    Given a meter, notes the sum's peak, the largest part of a term or of a
-    running sum, times weight into it: the one place where a one-shot sum's
-    cancellation enters a conditioning estimate.
+    Given a scale, notes weight * Σ|t_i| into it: relative errors ε in the
+    terms move the sum by at most ε Σ|t_i|, so that is the sum's first-order
+    error scale.
     """
     re = [t.real for t in terms]
     im = [t.imag for t in terms]
     value = _fsum(re, im)
-    if meter is not None:
-        peak = max(map(abs, chain(re, im, accumulate(re), accumulate(im))), default=0.0)
-        meter.note(peak * weight)
+    if scale is not None:
+        scale.note(weight * sum(map(abs, terms)))
     return value

@@ -3,7 +3,9 @@
 Each identity draws valid parameter points from a per-identity region by
 rejection against its domain constraints, evaluates both sides, and judges
 the gap under the identity's comparison mode with the tolerance scaled by
-the measured conditioning (peak accumulation over result magnitude).
+cond, the sides' errors propagated to first order: the sum sides' absolute
+scales (Σ|t_i| of every sum they are built from) over |lhs|, plus the
+product sides' relative ones (factor counts and exponent errors).
 Evaluation failures are recorded as non-passing results, never dropped.
 """
 
@@ -26,9 +28,9 @@ from .identities import (
     side_terms,
 )
 from .numerics import (
-    CancellationMeter,
     ConvergenceError,
     DomainError,
+    ErrorScale,
     PrecisionPolicy,
 )
 
@@ -155,11 +157,11 @@ def _verify_trend_point(spec, index, point, policy, tol):
     """A limit identity's point: it passes when |P_n - L| falls strictly over
     spec.trend's n range and its last value is below tol, P_n the running
     products of the left side's factors and L the right side."""
-    meter = CancellationMeter()
+    unread = ErrorScale()  # a trend point's cond is 1
     try:
-        limit = evaluate_side("rhs", spec.rhs, point, policy, meter)
+        limit = evaluate_side("rhs", spec.rhs, point, policy, unread)
         products = spec.trend.partial_products(
-            side_terms("lhs", spec.lhs, point, policy, meter))
+            side_terms("lhs", spec.lhs, point, policy, unread))
     except (SideEvaluationError, DomainError, ConvergenceError) as exc:
         return VerificationResult(spec.id, index, point, None, None, None, None,
                                   1.0, False, "trend", tol, error=str(exc))
@@ -174,14 +176,16 @@ def _verify_trend_point(spec, index, point, policy, tol):
 def _verify_one_point(spec, index, point, policy, tol):
     if spec.trend is not None:
         return _verify_trend_point(spec, index, point, policy, tol)
-    meter = CancellationMeter()
+    # a sum side's scale is absolute, a product side's relative
+    absolute, relative = ErrorScale(), ErrorScale()
+    scales = {"sum": absolute, "product": relative}
     try:
-        lhs = evaluate_side("lhs", spec.lhs, point, policy, meter)
-        rhs = evaluate_side("rhs", spec.rhs, point, policy, meter)
+        lhs = evaluate_side("lhs", spec.lhs, point, policy, scales[spec.lhs.kind])
+        rhs = evaluate_side("rhs", spec.rhs, point, policy, scales[spec.rhs.kind])
     except (SideEvaluationError, DomainError, ConvergenceError) as exc:
         return VerificationResult(spec.id, index, point, None, None, None, None,
                                   1.0, False, spec.compare_mode, tol, error=str(exc))
-    cond = max(1.0, meter.peak / max(abs(lhs), policy.abs_tol))
+    cond = max(1.0, absolute.total / max(abs(lhs), policy.abs_tol) + relative.total)
     passed, abs_err, rel_err, branch = _judge(spec.compare_mode, lhs, rhs,
                                               cond, tol, policy)
     return VerificationResult(spec.id, index, point, lhs, rhs, abs_err, rel_err,
@@ -287,8 +291,8 @@ def mutated_spec(spec: IdentitySpec) -> IdentitySpec:
     """
     base_rhs = spec.rhs
 
-    def corrupted(pt, policy, meter):
-        terms = side_terms("rhs", base_rhs, pt, policy, meter)
+    def corrupted(pt, policy, scale):
+        terms = side_terms("rhs", base_rhs, pt, policy, scale)
         if terms:
             if base_rhs.kind == "product":
                 terms[0] = -terms[0]

@@ -149,3 +149,19 @@ def test_phi_suite_work_counts_each_rung_once(bench_record, monkeypatch):
     assert set(work) == {"numerics.principal_pow_calls", "functions.polylog.calls",
                          *(f"functions.lerch_phi.{band}.calls"
                            for band in ("inner", "mid", "outer", "rim"))}
+
+
+def test_budget_stats_agree_with_the_verdicts(bench_record):
+    # a row passes every point exactly when its worst error / budget is at
+    # most 1; ID-12's trend keeps cond 1, so its budget is its tol
+    stats = bench_record.budget_stats(lerchsum, seed=5, count=3)
+    report = lerchsum.run_suite(count=3, seed=5)
+    assert list(stats) == [row.identity_id for row in report.rows]
+    for row in report.rows:
+        row_stats = stats[row.identity_id]
+        cond = max(r.cond for r in row.results)
+        assert row_stats["cond"]["max"] == cond
+        assert row_stats["budget"]["max"] == row.tol * max(1.0, cond)
+        assert row_stats["errors"] == 0
+        assert (row_stats["worst_err_over_budget"] <= 1.0) == row.all_passed, row.identity_id
+    assert stats["ID-12"]["budget"] == dict.fromkeys(("p50", "p90", "max"), 1e-6)

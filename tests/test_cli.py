@@ -162,6 +162,29 @@ def test_verify_absolute_tolerance_flag(tmp_path, monkeypatch, capsys):
     assert row["tol"] == 1e-5
 
 
+def test_trend_row_takes_the_tol_abs_override(tmp_path, monkeypatch, capsys):
+    # ID-12's gate bounds the absolute error |P_12 - L|, about 1e-4 here
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["verify", "ID-12", "--count", "3", "--tol-abs", "1"], capsys)
+    assert code == 0
+    assert "PASS 3/3" in out
+    row = json.loads((tmp_path / "verify_report.json").read_text())["identities"][0]
+    assert (row["mode"], row["tol"]) == ("trend", 1.0)
+    assert all(point["tol"] == 1.0 and point["pass"] for point in row["points"])
+
+
+def test_trend_row_ignores_the_tol_rel_override(tmp_path, monkeypatch, capsys):
+    # --tol-rel reaches the relative rows only: ID-12 stays at its own 1e-6
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["suite", "--count", "3", "--filter", "ID-00,ID-12",
+                            "--tol-rel", "1"], capsys)
+    assert code == 1
+    rows = {row["id"]: row
+            for row in json.loads((tmp_path / "suite_report.json").read_text())["identities"]}
+    assert (rows["ID-00"]["tol"], rows["ID-00"]["passed"]) == (1.0, 3)
+    assert (rows["ID-12"]["tol"], rows["ID-12"]["passed"]) == (1e-6, 0)
+
+
 def test_verify_csv_format(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(["verify", "ID-00", "--count", "4", "--seed", "1",

@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 
@@ -19,7 +18,7 @@ from lerchsum import (
 )
 from lerchsum import identities
 from lerchsum.identities import SideEvaluationError, evaluate_side, side_terms
-from lerchsum.numerics import CancellationMeter, SumOverflowError, compensated_sum
+from lerchsum.numerics import ErrorScale, SumOverflowError, compensated_sum
 from lerchsum.verifier import DEFAULT_POLE_MARGIN, default_strategy, sample_points
 from helpers import (PER_TERM_LHS, POLE_LADDERS, NeumaierSum, extreme_sequences,
                      id01_constraints_by_shifts, nielsen_prefixes_per_term,
@@ -56,7 +55,7 @@ def test_registry_modes():
 def _trend_products(x, policy):
     """The trend gate's P_n, n = 4..12, from ID-12's registry left side at x."""
     spec = get_identity("ID-12")
-    factors = side_terms("lhs", spec.lhs, EvalPoint(x=x), policy, CancellationMeter())
+    factors = side_terms("lhs", spec.lhs, EvalPoint(x=x), policy, ErrorScale())
     return spec.trend.partial_products(factors)
 
 
@@ -178,33 +177,32 @@ def test_side_errors_carry_term_tags(policy):
     bad = EvalPoint(a=1.0, m=1.0 + 1.0j, k=complex(0.5, 0.3), n=0)
     # force a convergence failure by strangling the term budget
     tiny = PrecisionPolicy(max_terms=3)
-    meter = CancellationMeter()
     with pytest.raises(SideEvaluationError) as info:
-        evaluate_side("lhs", spec.lhs, bad, tiny, meter)
+        evaluate_side("lhs", spec.lhs, bad, tiny, ErrorScale())
     assert info.value.side == "lhs"
     assert info.value.term_index == 0
 
 
-def test_noted_sum_peak_equals_the_oracle_peak():
-    # An inner sum notes the largest part or running sum times its weight,
-    # the peak a Neumaier loop over the same parts records; its value is the
-    # exact sum rounded once, part by part.  Sums whose running sum overflows
-    # raise and note nothing.
+def test_noted_sum_scale_is_its_weighted_abs_sum():
+    # An inner sum adds weight * sum |t_i| to the scale it is given, on top
+    # of what the scale holds; its value is the exact sum rounded once, part
+    # by part.  Sums whose running sum overflows raise and note nothing.
     rng = seeded(14)
     raised = 0
     for terms in extreme_sequences(1234, 2000, length=13):
         weight = rng.uniform(0.1, 10.0)
-        meter, oracle = CancellationMeter(), NeumaierSum()
+        scale = ErrorScale()
+        scale.note(0.5)
         try:
-            oracle.sum(terms)
+            NeumaierSum().sum(terms)
         except SumOverflowError:
             raised += 1
             with pytest.raises(SumOverflowError):
-                compensated_sum(terms, meter, weight)
-            assert meter.peak == 0.0
+                compensated_sum(terms, scale, weight)
+            assert scale.total == 0.5
             continue
-        value = compensated_sum(terms, meter, weight)
-        assert meter.peak == oracle.peak * weight
+        value = compensated_sum(terms, scale, weight)
+        assert scale.total == 0.5 + weight * sum(map(abs, terms))
         assert value == complex(float(sum(map(Fraction, (t.real for t in terms)))),
                                 float(sum(map(Fraction, (t.imag for t in terms)))))
     assert 100 < raised < 1900
@@ -212,14 +210,11 @@ def test_noted_sum_peak_equals_the_oracle_peak():
     for parts in ([complex(-0.0, -0.0)], [complex(-0.0, 2.5)], [complex(-1e-310, 0.0)],
                   [complex(-0.0, 1.0), complex(-0.0, -1.0)], [complex(1.0, 3.0), 1.1e-16 + 0j],
                   [complex(-0.0, -0.0), complex(-0.0, -0.0)], []):
-        meter = CancellationMeter()
-        value = compensated_sum(parts, meter, 2.0)
+        scale = ErrorScale()
+        value = compensated_sum(parts, scale, 2.0)
         assert (value.real.hex(), value.imag.hex()) == (math.fsum(t.real for t in parts).hex(),
                                                         math.fsum(t.imag for t in parts).hex())
-        running = [x for t in accumulate(parts) for x in (t.real, t.imag)]
-        assert meter.peak == 2.0 * max(map(abs, [*running, *(x for t in parts
-                                                              for x in (t.real, t.imag))]),
-                                       default=0.0)
+        assert scale.total == 2.0 * sum(map(abs, parts))
 
 
 # ----------------------------------------------------------- structural facts
@@ -238,10 +233,10 @@ def test_id00_holds_for_generic_complex_u(policy):
         pt = EvalPoint(m=u, n=n)
         if not spec.constraints(pt, 0.05):
             continue
-        meter = CancellationMeter()
-        lhs = evaluate_side("lhs", spec.lhs, pt, policy, meter)
-        rhs = evaluate_side("rhs", spec.rhs, pt, policy, meter)
-        cond = max(1.0, meter.peak / max(abs(lhs), 1e-12))
+        scale = ErrorScale()
+        lhs = evaluate_side("lhs", spec.lhs, pt, policy, scale)
+        rhs = evaluate_side("rhs", spec.rhs, pt, policy, scale)
+        cond = max(1.0, scale.total / max(abs(lhs), 1e-12))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
         assert rel <= 1e-10 * cond
         accepted += 1
@@ -259,9 +254,8 @@ def test_id03_swap_symmetry_inverts_product(policy):
         bwd = EvalPoint(m=r, r=m, n=n)
         if not (spec.constraints(fwd, 0.05) and spec.constraints(bwd, 0.05)):
             continue
-        meter = CancellationMeter()
-        one = evaluate_side("lhs", spec.lhs, fwd, policy, meter)
-        other = evaluate_side("lhs", spec.lhs, bwd, policy, meter)
+        one = evaluate_side("lhs", spec.lhs, fwd, policy, ErrorScale())
+        other = evaluate_side("lhs", spec.lhs, bwd, policy, ErrorScale())
         assert abs(one * other - 1.0) <= 1e-10
         accepted += 1
 
@@ -277,10 +271,9 @@ def test_prudnikov_original_fails_everywhere(policy):
     sidecar = prudnikov_original()
     points = sample_points(corrected, default_strategy("ID-02", count=100, seed=7))
     for pt in points:
-        meter = CancellationMeter()
-        lhs = evaluate_side("lhs", corrected.lhs, pt, policy, meter)
-        good = evaluate_side("rhs", corrected.rhs, pt, policy, meter)
-        bad = evaluate_side("rhs", sidecar.rhs, pt, policy, meter)
+        lhs = evaluate_side("lhs", corrected.lhs, pt, policy, ErrorScale())
+        good = evaluate_side("rhs", corrected.rhs, pt, policy, ErrorScale())
+        bad = evaluate_side("rhs", sidecar.rhs, pt, policy, ErrorScale())
         rel_good = abs(lhs - good) / max(abs(lhs), abs(good), 1e-12)
         rel_bad = abs(lhs - bad) / max(abs(lhs), abs(bad), 1e-12)
         assert rel_good <= 1e-10
@@ -341,7 +334,7 @@ def test_dyadic_sides_evaluate_each_rung_once(identity_id, monkeypatch, policy):
         expected = LADDER_CALLS[identity_id](n)
         counts = _counting(monkeypatch, expected)
         pt = dataclasses.replace(LADDER_POINTS[identity_id], n=n)
-        evaluate_side("lhs", spec.lhs, pt, policy, CancellationMeter())
+        evaluate_side("lhs", spec.lhs, pt, policy, ErrorScale())
         assert counts == expected, (identity_id, n)
 
 
@@ -361,8 +354,8 @@ def test_carried_rungs_equal_the_per_term_sides(identity_id, policy):
     for pt in points:
         sides = []
         for expr in (spec.lhs, reference):
-            meter = CancellationMeter()
-            sides.append((side_terms("lhs", expr, pt, policy, meter), meter.peak))
+            scale = ErrorScale()
+            sides.append((side_terms("lhs", expr, pt, policy, scale), scale.total))
         assert sides[0] == sides[1], (identity_id, pt)
 
 

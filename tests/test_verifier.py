@@ -18,7 +18,8 @@ from lerchsum import (
     sample_points,
     verify_identity,
 )
-from lerchsum.identities import IdentitySpec, SideExpr
+from lerchsum.identities import IdentitySpec, SideExpr, evaluate_side, side_terms
+from lerchsum.numerics import ErrorScale
 from lerchsum.report import dumps_csv, dumps_json, report_to_obj, strip_volatile
 from lerchsum.verifier import (
     DEFAULT_POLE_MARGIN,
@@ -127,21 +128,71 @@ def test_monotone_tolerance(policy):
 
 def test_cond_growth_trend_for_exp_product(policy):
     # the exp-product identity loses digits as x -> 0 (its cosine combination
-    # collapses to O(x^2) before csc blows it back up); cond must grow as x
-    # shrinks.  The trend is asserted, not a specific rate: inflating cond to
-    # the naive cancellation ratio would defeat the mutation gate.
+    # collapses to O(x^2) before csc blows it back up); the relative scale
+    # of its two product sides, its cond, must grow as x shrinks.  The trend
+    # is asserted, not a specific rate: inflating cond to the naive
+    # cancellation ratio would defeat the mutation gate.  Both sides are
+    # products, so no division by a tiny |lhs| enters it.
     spec = get_identity("ID-06")
     conds = []
     for x in (0.8, 0.4, 0.2, 0.1):
-        from lerchsum.identities import evaluate_side
-        from lerchsum.numerics import CancellationMeter
         pt = EvalPoint(x=x, n=3)
-        meter = CancellationMeter()
-        lhs = evaluate_side("lhs", spec.lhs, pt, policy, meter)
-        evaluate_side("rhs", spec.rhs, pt, policy, meter)
-        conds.append(max(1.0, meter.peak / abs(lhs)))
+        scale = ErrorScale()
+        evaluate_side("lhs", spec.lhs, pt, policy, scale)
+        evaluate_side("rhs", spec.rhs, pt, policy, scale)
+        conds.append(scale.total)
     assert conds == sorted(conds)
     assert conds[-1] / conds[0] > 3.0
+    assert spec.tol * conds[-1] < 1e-4
+
+
+def _side_scale(side, spec, pt, policy):
+    """(the side's top-level terms, what they note into its scale)."""
+    scale = ErrorScale()
+    terms = side_terms(side, getattr(spec, side), pt, policy, scale)
+    return terms, scale.total
+
+
+@pytest.mark.parametrize("identity_id", ["ID-00", "ID-10"])
+def test_cond_of_a_plain_sum_is_its_abs_sum_over_lhs(policy, identity_id):
+    # their terms hold no inner sum and no Phi call, so they note nothing
+    # and cond is sum |t| over both sides' terms, over |lhs|
+    spec = get_identity(identity_id)
+    for r in verify_identity(spec, default_strategy(identity_id, count=50, seed=7), policy):
+        total = 0.0
+        for side in ("lhs", "rhs"):
+            terms, noted = _side_scale(side, spec, r.point, policy)
+            assert noted == 0.0
+            total += sum(map(abs, terms))
+        assert r.cond == pytest.approx(total / abs(r.lhs), rel=1e-14)
+
+
+@pytest.mark.parametrize("identity_id", ["ID-03", "ID-05"])
+def test_cond_of_a_plain_product_is_its_factor_count(policy, identity_id):
+    # n + 1 factors on the left and one on the right, one rounding each,
+    # and no factor notes an exponent's error
+    spec = get_identity(identity_id)
+    results = verify_identity(spec, default_strategy(identity_id, count=50, seed=7), policy)
+    assert len({r.point.n for r in results}) >= 5
+    for r in results:
+        sides = [_side_scale(side, spec, r.point, policy) for side in ("lhs", "rhs")]
+        assert [(len(terms), noted) for terms, noted in sides] == [(r.point.n + 1, 0.0),
+                                                                   (1, 0.0)]
+        assert r.cond == r.point.n + 2
+
+
+# the scored ids that call no Phi: every one but ID-12, which its trend judges
+PHI_FREE_SCORED = ("ID-00", "ID-02", "ID-03", "ID-05", "ID-06", "ID-07", "ID-08",
+                   "ID-09", "ID-10", "ID-11", "ID-13", "ID-15")
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7, 1234])
+def test_phi_free_budgets_stay_below_one(policy, seed):
+    # a budget tol * max(1, cond) of 1 or more passes a 100% error
+    report = run_suite(policy, count=100, seed=seed, ids=PHI_FREE_SCORED)
+    for row in report.rows:
+        for r in row.results:
+            assert r.tol * max(1.0, r.cond) < 1.0, (row.identity_id, r.index, r.cond)
 
 
 def test_mod_2pi_i_mode_accepts_2pi_shifts(policy):
@@ -183,6 +234,17 @@ def test_mutation_detected(policy, identity_id):
     strategy = default_strategy(identity_id, count=15, seed=21)
     corrupted = mutated_spec(spec)
     results = verify_identity(corrupted, strategy, policy, tol=spec.tol)
+    assert sum(r.passed for r in results) == 0
+
+
+@pytest.mark.parametrize("identity_id", [s.id for s in list_identities() if s.trend is None])
+def test_sign_flip_mutant_fails_at_its_own_sample_stream(policy, identity_id):
+    # under its identity's own id the mutant draws that identity's points,
+    # not the renamed spec's
+    spec = get_identity(identity_id)
+    mutant = dataclasses.replace(mutated_spec(spec), id=spec.id)
+    results = verify_identity(mutant, default_strategy(identity_id, count=20, seed=20240603),
+                              policy)
     assert sum(r.passed for r in results) == 0
 
 
