@@ -25,8 +25,10 @@ checkout that holds this script), in nine sections:
 6. side_times: the two sides of every identity over its 100 sampled points
    at TRACE_SEED, each through `evaluate_side`;
 7. named_sets: the outcome, a value bit for bit or the exception raised,
-   of `lerch_phi_integral` on the eval-mix integral calls at SEEDS and on
-   the rim and wide sets (and their confirm sets), of `hurwitz_zeta`
+   of `lerch_phi_integral` on the eval-mix integral calls at SEEDS, on
+   the rim and wide sets (and their confirm sets) and on the cut plane
+   1 < |z| <= 3, with each integral set's complex exponentials and its
+   worst error against mpmath on both sides, of `hurwitz_zeta`
    (Re s in (-1, 3) and in (-15, -1)) and `stieltjes_gamma1` on their sets,
    and of `log_gamma` and `digamma` on one set of the positive real axis
    (z = 10^u and z by the shift line Re z = 10, Im z = +0.0 and -0.0);
@@ -94,6 +96,7 @@ METRICS = ("setup_s", "wall_s", "latency_p50_ms", "latency_p95_ms", "peak_rss_mb
 PHI_FREE_IDS = ("ID-00", "ID-02", "ID-03", "ID-05", "ID-06", "ID-07", "ID-08",
                 "ID-09", "ID-10", "ID-11", "ID-12", "ID-13", "ID-15")
 REF_DPS = 30
+INTEGRAL_BAR = 1e-10  # relative error of a returned integral value counted in the record
 PHI_IDS = "ID-01,ID-04,ID-14"
 SUITE_PASSES = 3  # timed passes over the Phi identities in each interpreter
 CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -124,6 +127,18 @@ def wide_points(key: str = "BENCH_8:wide") -> list:
     rng = random.Random(key)
     return [(_rect(rng, 0.0, 0.999), _cx(rng, (0.05, 8.0), (-10.0, 10.0)),
              _cx(rng, (0.05, 6.0), (-3.0, 3.0))) for _ in range(750)]
+
+
+def cut_plane_points() -> list:
+    """300 (z, s, v) past the unit circle: |z| in (1, 3], |arg z| >= 0.05,
+    Re s in [0.05, 4], |Im s| <= 2, Re v in [0.2, 3], |Im v| <= 1."""
+    rng = random.Random("BENCH_24:cut-plane")
+    points = []
+    for _ in range(300):
+        arg = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi)
+        points.append((cmath.rect(3.0 - 2.0 * rng.random(), arg),
+                       _cx(rng, (0.05, 4.0), (-2.0, 2.0)), _cx(rng, (0.2, 3.0), (-1.0, 1.0))))
+    return points
 
 
 def zeta_points() -> list:
@@ -172,6 +187,7 @@ def named_sets(lerchsum, evalmix) -> dict:
     sets["wide"] = ("lerch_phi_integral", wide_points())
     sets["rim_confirm"] = ("lerch_phi_integral", rim_points("BENCH_8:rim-confirm"))
     sets["wide_confirm"] = ("lerch_phi_integral", wide_points("BENCH_8:wide-confirm"))
+    sets["cut_plane"] = ("lerch_phi_integral", cut_plane_points())
     sets["zeta"] = ("hurwitz_zeta", zeta_points())
     sets["zeta_left"] = ("hurwitz_zeta", zeta_left_points())
     sets["gamma1"] = ("stieltjes_gamma1", gamma1_points())
@@ -352,19 +368,42 @@ def _task_budgets(seed: int) -> dict:
     return {str(s): budget_stats(lerchsum, s) for s in SEEDS}
 
 
+class _CountingCmath:
+    """Stands in for a module's `cmath` and counts its `exp` calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return cmath.exp(x)
+
+
 def _task_sets(seed: int) -> dict:
-    """Every named set's arguments (hex) and outcomes."""
+    """Every named set's arguments (hex) and outcomes, and for the integral's
+    sets the complex exponentials its calls take (see named_set_outcomes)."""
     import evalmix
     import lerchsum
+    from lerchsum import functions
 
     evaluate = {"lerch_phi_integral":
                 lambda z, s, v: lerchsum.lerch_phi_integral(lerchsum.LerchParams(z, s, v)),
                 "hurwitz_zeta": lerchsum.hurwitz_zeta,
                 "stieltjes_gamma1": lerchsum.stieltjes_gamma1,
                 "log_gamma": lerchsum.log_gamma, "digamma": lerchsum.digamma}
-    return {name: {"fn": fn, "args": [hex_args(a) for a in points],
-                   "outcomes": [_outcome(evaluate[fn], a) for a in points]}
-            for name, (fn, points) in named_sets(lerchsum, evalmix).items()}
+    out = {}
+    for name, (fn, points) in named_sets(lerchsum, evalmix).items():
+        counter = functions.cmath = _CountingCmath()
+        try:
+            outcomes = [_outcome(evaluate[fn], a) for a in points]
+        finally:
+            functions.cmath = cmath
+        out[name] = {"fn": fn, "args": [hex_args(a) for a in points], "outcomes": outcomes,
+                     "cexp_calls": counter.exp_calls}
+    return out
 
 
 def phi_work(lerchsum, calls: list) -> list:
@@ -669,6 +708,8 @@ def _reference(fn: str, args: tuple) -> complex:
     import mpmath
 
     mpmath.mp.dps = REF_DPS
+    if fn == "lerch_phi_integral" and abs(args[0]) > 1.0:
+        return _integral_reference(*args)
     args = [mpmath.mpc(c.real, c.imag) for c in args]
     if fn in ("lerch_phi_integral", "lerch_phi"):
         return complex(mpmath.lerchphi(*args))
@@ -688,6 +729,31 @@ def _reference(fn: str, args: tuple) -> complex:
         return complex(-(mpmath.zeta(1 + h, args[0], 1) + 1 / h ** 2))
 
 
+def _integral_reference(z: complex, s: complex, v: complex) -> complex:
+    """Phi past the unit circle from its integral, by mpmath.quad at REF_DPS + 10
+    digits, with breakpoints at t = ln|z| (next to the kernel's pole) and
+    along the t^(s-1) e^(-vt) envelope, and t = y^m near 0.  mpmath.lerchphi takes another branch
+    there: at 9 of the cut_plane set's 300 points it differs from this integral
+    by 17% to 635%, where the integral meets the recurrence
+    Phi(z, s, v) = v^(-s) + z Phi(z, s, v+1) to 1e-14."""
+    import mpmath
+
+    m = math.ceil(2.0 / s.real)
+    with mpmath.workdps(REF_DPS + 10):
+        z, s, v = map(mpmath.mpc, (z, s, v))
+
+        def f(t):
+            return t ** (s - 1) * mpmath.exp(-v * t) / (1 - z * mpmath.exp(-t))
+
+        # t = y^m on [0, 1/4] leaves y^(m s - 1), smooth at 0 for m Re s >= 2
+        head = mpmath.quad(lambda y: m * y ** (m - 1) * f(y ** m),
+                           [0, mpmath.mpf(0.25) ** (mpmath.mpf(1) / m)], maxdegree=8)
+        cuts = sorted({mpmath.mpf(0.25), mpmath.mpf(1), mpmath.mpf(4), mpmath.mpf(16),
+                       max(mpmath.mpf(0.25), mpmath.log(abs(z)))})
+        value = head + mpmath.quad(f, [*cuts, mpmath.inf], maxdegree=8)
+        return complex(value / mpmath.gamma(s))
+
+
 def _unhex(pairs: list) -> tuple:
     """The complex numbers whose parts hex_args wrote."""
     return tuple(complex(float.fromhex(re), float.fromhex(im))
@@ -700,19 +766,40 @@ def _abs_err(outcome, ref: complex):
     return abs(_unhex(outcome)[0] - ref)
 
 
+def _integral_accuracy(refs: list, sides: dict) -> dict:
+    """Per side, against the references of every point of an integral set:
+    the worst relative error of a returned value, where it is, and how many
+    returned values are more than INTEGRAL_BAR from the reference."""
+    out = {}
+    for side, outcomes in sides.items():
+        errs = [(_abs_err(o, ref) / abs(ref), i) for i, (o, ref) in enumerate(zip(outcomes, refs))
+                if not isinstance(o, str)]
+        worst, index = max(errs, default=(None, None))
+        out[side] = {"worst_rel_err": worst, "worst_index": index,
+                     "over_bar": sum(e > INTEGRAL_BAR for e, _ in errs)}
+    return out
+
+
 def named_set_outcomes(roots: dict) -> dict:
+    """Per named set: outcome counts, the moved points priced against mpmath,
+    and for the integral's sets every point priced (_integral_accuracy) and
+    `cexp_calls`, the complex exponentials its calls take: one per node the
+    integrand evaluates (before the double-exponential map, none where
+    t > 700) and one per call for Gamma(s) or its phase."""
     sides = {side: _run_child(roots[side], "sets") for side in SIDES}
     record = {}
     for name, old in sides["parent"].items():
         new = sides["change"][name]
         if old["args"] != new["args"]:
             raise RuntimeError(f"{name}: the two checkouts drew different points")
+        priced = old["fn"] == "lerch_phi_integral"
+        refs = [_reference(old["fn"], _unhex(args)) if priced else None for args in old["args"]]
         moved = []
-        for args, p, c in zip(old["args"], old["outcomes"], new["outcomes"]):
+        for args, p, c, ref in zip(old["args"], old["outcomes"], new["outcomes"], refs):
             if p == c:
                 continue
             point = _unhex(args)
-            ref = _reference(old["fn"], point)
+            ref = _reference(old["fn"], point) if ref is None else ref
             moved.append({"args": [str(x) for x in point], "parent": p, "change": c,
                           "reference_abs": abs(ref),
                           "abs_err": {"parent": _abs_err(p, ref), "change": _abs_err(c, ref)}})
@@ -722,6 +809,11 @@ def named_set_outcomes(roots: dict) -> dict:
                                             for o in data[name]["outcomes"]))
                          for side, data in sides.items()},
             "moved": len(moved), "moved_points": moved}
+        if priced:
+            record[name]["cexp_calls"] = {side: data[name]["cexp_calls"]
+                                          for side, data in sides.items()}
+            record[name]["accuracy"] = _integral_accuracy(
+                refs, {side: data[name]["outcomes"] for side, data in sides.items()})
     return record
 
 

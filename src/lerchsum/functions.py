@@ -64,9 +64,14 @@ _LOGGAMMA_BERNOULLI = _bernoulli_over_factorial(7, lambda k: math.factorial(2 * 
 _DIGAMMA_BERNOULLI = _bernoulli_over_factorial(7, lambda k: math.factorial(2 * k - 1))
 
 # lerch_phi_integral refuses Re(s) below this.  Its subtracted form converges
-# for Re(s) > -K, but has no accuracy table there yet; with K = 0 (z near 1)
-# the left cut still grows like 1/Re(s).
+# for Re(s) > -K, but has no accuracy table there yet; its left cut now grows
+# only like ln(1/(Re(s) + K)), so the nodes do not bar lowering it.
 _INTEGRAL_MIN_RE_S = 0.05
+_INTEGRAL_TAIL = math.log(1e16) + 8.0  # each cut leaves about e^(-_INTEGRAL_TAIL)
+# Where the rounding floor is within this factor of the tolerance, the
+# integral's sums must agree at two levels in a row: two meshes share half
+# their nodes, so they share rounding noise that one agreement cannot see.
+_INTEGRAL_NOISE = 8.0
 _ASYMPTOTIC_REAL = 10.0  # shift recurrences until Re(z) reaches this line
 _MAX_RECURRENCE_LIFT = 10**5  # recurrence steps, not accuracy: refuse absurd shifts
 
@@ -271,8 +276,13 @@ def _sum_series(acc: CompensatedSum, z: complex, s: complex, v: complex,
                 # integral-test tail for |z| = 1, Re(s) > 1
                 tail = abs(powfacs[-1]) * aw / (rs - 1.0)
             else:
-                growth = (1.0 + d_star / aw) ** abs(rs)
-                tail = az ** n / (1.0 - az) * abs(powfacs[-1]) * growth
+                try:
+                    growth = (1.0 + d_star / aw) ** abs(rs)
+                    tail = az ** n / (1.0 - az) * abs(powfacs[-1]) * growth
+                except OverflowError:  # the same bound in logs, capped where no test passes
+                    tail = math.exp(min(700.0, n * ln_az - math.log1p(-az)
+                                        + (minus_s * log(v + (n - 1))).real
+                                        + abs(rs) * math.log1p(d_star / aw)))
             if tail * c_s <= policy.rel_tol * scale:
                 return
             if hand_over and v.real + n >= reach:
@@ -372,22 +382,34 @@ def lerch_phi_integral(
     where |r| <= 2 and 0 otherwise (closed_kernel_terms): near z = 1 the
     closed part and the remainder would cancel.
 
-    The substitution t = e^u turns the remainder into a trapezoid sum over u
-    whose integrand decays like e^((Re s + K) u) on the left and doubly
-    exponentially on the right.  The left cut u = -(ln 1e16 + 8)/(Re s + K)
-    drops a tail of about e^(-45).  The mesh starts at h = 1/2 and is halved
-    until two successive sums agree to policy.rel_tol times |Gamma(s) Phi|
-    (the remainder plus Gamma(s) times the closed part).  That test may pass
-    from h = 1/8 on, since the trapezoid converges geometrically for an
-    analytic integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
+    The double-exponential map t = c exp(u - e^(-u)), dt = t (1 + e^(-u)) du,
+    with c = 1/max(1, Re v) (Takahasi & Mori, Publ. RIMS 9 (1974)), turns
+    the remainder over Gamma(s) into a trapezoid sum over u whose integrand
+    decays doubly exponentially at both ends: like exp(-(Re s + K) e^(-u))
+    on the left and like e^(-Re(v) t) on the right.  The left cut
+    (Re s + K) e^(-u) = ln 1e16 + 8 drops a tail of about e^(-45), as t = e^u
+    did, but grows like ln(1/(Re s + K)) rather than 1/(Re s + K); it lies on
+    a multiple of 2^-16, so every node is exact.  The right cut is where
+    x = Re(v) t has passed the envelope x^Re(s) e^(-x) by the same e^(-45)
+    beyond its peak at x = Re s.  With c the cuts never cross, however large
+    Re v.  Each node divides by |Gamma(s)| inside its exponent and the sum is
+    turned by Gamma(s)'s phase once, so neither Gamma(s) nor t^s need be in
+    range.  The mesh starts at h = 1/2 and is halved until two successive
+    sums agree to policy.rel_tol times |Phi| (the remainder plus the closed
+    part).  That test may pass from h = 1/8 on, since the trapezoid
+    converges geometrically for an analytic integrand (Trefethen & Weideman,
+    SIAM Rev. 56 (2014)); within _INTEGRAL_NOISE of the rounding floor it
+    must pass at two levels in a row.
 
     Raises ConvergenceError after 14 halvings, and as soon as the rounding
     floor, eps times the integral of |f| (read off the first mesh), exceeds
     the same tolerance where the sums agree or at two levels in a row: the
     integrand then cancels too deeply (as at large |Im s|, where |Gamma(s)|
     is tiny) for any agreement to certify rel_tol, and halving further only
-    spends nodes.  The floor also covers cancellation against Gamma(s) times
-    the closed part, whose size is at most |remainder| + |Gamma(s) Phi|.
+    spends nodes.  The floor also covers cancellation against the closed
+    part, whose size is at most |remainder| + |Phi|.  Also raises
+    ConvergenceError where a node leaves the double range (1/|Gamma(s)|
+    overflows from |Im s| ~ 450).
     """
     z, s, v = params.finite()
     if v.real <= 0:
@@ -405,42 +427,73 @@ def lerch_phi_integral(
     if k_closed:
         v_pow = principal_pow(v, -s)
         closed = (v_pow + r * (v_pow - principal_pow(v + 1.0, -s))) / one_minus
-    cexp, expm1 = cmath.exp, math.expm1
+    if z == 0:
+        return closed  # the remainder's integrand vanishes
 
-    def integrand(u: float) -> complex:
-        t = math.exp(u)
-        if t > 700.0:
-            return 0j
-        w = -expm1(-t)
-        return cexp(s * u - v * t) * (r * w) ** k_closed / (one_minus + z * w)
+    sigma, a = s.real, v.real
+    c = min(1.0, 1.0 / a)
+    ln_c = math.log(c)
+    # each node divides by |Gamma(s) c^-s| in its exponent, so neither Gamma(s)
+    # nor t^s need be in range; the phase is divided out of the sum once,
+    # which keeps the exponents, and so their rounding, as small as they were
+    log_scale = log_gamma(s) - s * ln_c
+    ln_modulus, phase = log_scale.real, cmath.exp(complex(0.0, -log_scale.imag))
+    r_k = r ** k_closed
+    den0, den1 = one_minus / r_k, z / r_k
+    # on a multiple of 2^-16, so that left + i h is exact down to h = 2^-15
+    left = math.floor(-65536.0 * math.log(_INTEGRAL_TAIL / (sigma + k_closed))) / 65536.0
+    # x = a t past the envelope x^sigma e^(-x)'s peak at x = sigma by e^(-_INTEGRAL_TAIL):
+    # x - sigma ln x = goal, by Newton from the right (the left side is convex)
+    goal = _INTEGRAL_TAIL + sigma - sigma * math.log(sigma)
+    x = sigma + _INTEGRAL_TAIL + math.sqrt(2.0 * sigma * _INTEGRAL_TAIL)
+    for _ in range(4):
+        x -= (x - sigma * math.log(x) - goal) / (1.0 - sigma / x)
+    ln_right = math.log(x / a) - ln_c
+    right = ln_right + math.exp(-ln_right)  # u - e^(-u) >= ln_right there
 
-    left = (math.log(1e16) + 8.0) / (s.real + k_closed)
-    right = math.log((40.0 + 5.0 * abs(s)) / v.real) + 2.0
+    exp, cexp, expm1 = math.exp, cmath.exp, math.expm1
+
+    def nodes(start: float, step: float, count: int) -> list:
+        """The integrand at start + i step, i < count, in one loop."""
+        values = []
+        try:
+            for i in range(count):
+                u = start + i * step
+                e = exp(-u)
+                ln_tau = u - e
+                t = c * exp(ln_tau)
+                # put back ln_tau's rounding (exact where u >= e), which v t magnifies
+                t += t * ((u - ln_tau) - e)
+                w = -expm1(-t)
+                values.append(cexp(s * ln_tau - v * t - ln_modulus) * ((1.0 + e) * w ** k_closed)
+                              / (den0 + den1 * w))
+        except OverflowError:
+            raise ConvergenceError("Phi integral: the integrand leaves the double range "
+                                   "(1/|Gamma(s)| overflows at large |Im s|)") from None
+        return values
+
     h = 0.5
-    count = int(math.ceil((left + right) / h))
-    values = [integrand(-left + i * h) for i in range(count + 1)]
+    count = int(math.ceil((right - left) / h))
+    values = nodes(left, h, count + 1)
     total = sum(values) - 0.5 * (values[0] + values[-1])
     span = count * h
-    previous = total * h
-    gamma_s = cmath.exp(log_gamma(s))
-    whole = gamma_s * closed
+    previous = total * h * phase
     # |f| is smooth and positive, so the first mesh already gives its integral
     floor = _EPS * h * sum(map(abs, values))
-    was_under_floor = False
+    was_under_floor = agreed = False
     for level in range(14):
         h *= 0.5
-        mids = int(round(span / (2.0 * h)))
-        total += sum(integrand(-left + (2 * i + 1) * h) for i in range(mids))
-        current = total * h
-        target = policy.rel_tol * max(abs(current + whole), policy.abs_tol)
+        total += sum(nodes(left + h, 2.0 * h, int(round(span / (2.0 * h)))))
+        current = total * h * phase
+        target = policy.rel_tol * max(abs(current + closed), policy.abs_tol)
         under_floor = floor > target
         agree = level >= 1 and abs(current - previous) <= target
         if under_floor and (agree or was_under_floor):
             raise ConvergenceError(
                 "Phi integral cancels below rel_tol: its rounding floor exceeds the tolerance")
-        if agree:
-            return closed + current / gamma_s
-        previous, was_under_floor = current, under_floor
+        if agree and (agreed or floor * _INTEGRAL_NOISE <= target):
+            return closed + current
+        previous, was_under_floor, agreed = current, under_floor, agree
     raise ConvergenceError("Phi integral quadrature did not converge in 14 refinements")
 
 
@@ -571,7 +624,8 @@ def polylog(
     meter: Optional[CancellationMeter] = None,
 ) -> complex:
     """Li_s(z) = z * Phi(z, s, 1) on the open unit disk."""
-    s, z = complex(s), complex(z)
+    s = _require_finite(s, "polylog argument s")
+    z = _require_finite(z, "polylog argument z")
     if z == 0:
         return 0j
     if abs(z) >= 1.0:

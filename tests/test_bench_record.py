@@ -50,6 +50,11 @@ NAMED_SETS = {
         "0x1.74983abdef0ccp+2", "0x1.90b7aa296202fp+0", "-0x1.db1b360755fffp+0"], [
         "-0x1.540b14d6717cbp-4", "-0x1.e409a75188fe3p-2", "0x1.3af9266aa4b5bp+0",
         "0x1.3340ca03f507ap+2", "0x1.5d2ecc572de83p+1", "0x1.36f2e385b5212p+1"]),
+    "cut_plane": ("lerch_phi_integral", 300, [
+        "-0x1.09b280f434785p+0", "-0x1.5c1b0d40aa843p-6", "0x1.0d9e558741699p+1",
+        "0x1.0ccf5b3fecc90p-3", "0x1.67ec3a0956f27p+1", "-0x1.6a51cd2011818p-1"], [
+        "-0x1.24452cf8dc35ep-1", "-0x1.4cfb71a2b636ep+0", "0x1.9b20d97aba7c1p+1",
+        "-0x1.f4f45a409257cp-1", "0x1.593eac78e1251p+1", "0x1.4a717e6d87e08p-1"]),
     "zeta": ("hurwitz_zeta", 300, [
         "0x1.f6ce4e9e99900p-4", "-0x1.8901bf15159eap+2", "0x1.34172c9aa70cap+0",
         "-0x1.d89039e4b6bd0p-2"], [

@@ -104,6 +104,25 @@ def test_eval_non_finite_argument_exit_2(function, field, bad, capsys):
     assert err.startswith("domain error")
 
 
+def test_eval_polylog_nan_s_at_z_zero_exit_2(capsys):
+    # the z = 0 shortcut returned 0 before s was checked
+    code, _, err = run_cli(["eval", "polylog", "--s", "nan", "0", "--z", "0", "0"], capsys)
+    assert code == 2
+    assert err.startswith("domain error")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--z", "0.5", "0", "--s", "2", "0", "--v", "1e10", "0"], 2e-20),  # was an IndexError
+    (["--z", "0.5", "0", "--s", "171", "0", "--v", "1", "0"], 1.0),  # was nan
+    (["--z", "0.5", "0", "--s", "172", "0", "--v", "1", "0"], 1.0),  # was OverflowError
+])
+def test_eval_phi_integral_at_extreme_arguments(argv, want, capsys):
+    code, out, _ = run_cli(["eval", "phi-integral", *argv], capsys)
+    assert code == 0
+    value = parse_pair(out)
+    assert abs(value - want) <= 1e-9 * want
+
+
 def test_eval_missing_argument_exit_2(capsys):
     code, _, err = run_cli(["eval", "zeta", "--s", "2", "0"], capsys)
     assert code == 2

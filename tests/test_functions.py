@@ -549,31 +549,66 @@ def test_integral_keeps_full_accuracy_next_to_z_one():
 
 
 class _NodeCounter:
-    """Stands in for lerchsum.functions.math.  The integrand takes one
-    math.exp per node, so `nodes` counts the integral's nodes."""
+    """Stands in for lerchsum.functions.cmath.  The integral takes one
+    cmath.exp per node and one per call, for Gamma(s)'s phase, so `nodes`
+    counts the integral's nodes once `reset` has set it to -1."""
 
     def __init__(self):
-        self.nodes = 0
+        self.nodes = -1
+
+    def reset(self):
+        self.nodes = -1
 
     def __getattr__(self, name):
-        return getattr(math, name)
+        return getattr(cmath, name)
 
     def exp(self, x):
         self.nodes += 1
-        return math.exp(x)
+        return cmath.exp(x)
 
 
 def test_integral_stops_by_an_eighth_step(policy, monkeypatch):
-    # these points need 129-293 nodes (the plain kernel with its left cut at
-    # Re(s) and a stop no earlier than h = 1/16 needed 355-1523)
+    # these points need 57-113 nodes on the double-exponential map (129-293
+    # with t = e^u, 355-1523 with the plain kernel, its left cut at Re(s) and
+    # a stop no earlier than h = 1/16)
     counter = _NodeCounter()
-    monkeypatch.setattr("lerchsum.functions.math", counter)
+    monkeypatch.setattr("lerchsum.functions.cmath", counter)
     for z, s, v in ((0.5 + 0.3j, 1.5 + 0.5j, 1.2), (-0.7 + 0.2j, 2.5 - 1.0j, 0.6 + 0.3j),
                     (0.6 - 0.2j, 0.8 + 2.0j, 3.0), (0.95, 1.5, 0.7), (0.1j, 0.5 + 1.0j, 2.0),
                     (0.2, 3.0, 0.5)):
-        counter.nodes = 0
+        counter.reset()
         lerch_phi_integral(LerchParams(z, s, v), policy)
-        assert counter.nodes <= 300
+        assert counter.nodes <= 128
+
+
+def test_integral_needs_few_nodes_at_small_re_s_next_to_z_one(policy, monkeypatch):
+    # no closed-form terms (K = 0) and Re s near its 0.05 floor: with t = e^u
+    # the left cut grew like 1/Re(s), and these points took 7,269 and 6,029
+    # nodes; the double-exponential map's left cut grows like ln(1/Re(s))
+    points = ((0.99, 0.05 + 0.3j, 1.0, 800), (0.95, 0.06, 2.0, 100))
+    tight = PrecisionPolicy(rel_tol=1e-15)
+    series = [lerch_phi(LerchParams(z, s, v), tight) for z, s, v, _ in points]
+    counter = _NodeCounter()
+    monkeypatch.setattr("lerchsum.functions.cmath", counter)
+    for (z, s, v, bound), want in zip(points, series):
+        assert closed_kernel_terms(z) == 0
+        counter.reset()
+        value = lerch_phi_integral(LerchParams(z, s, v), policy)
+        assert counter.nodes <= bound
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_integral_on_the_cut_plane_meets_the_recurrence(policy):
+    # past the unit circle, off [1, inf), where no series route reaches:
+    # Phi(z, s, v) = v^(-s) + z Phi(z, s, v + 1), each side from the integral
+    rng = seeded(20240624)
+    for _ in range(40):
+        z = cmath.rect(3.0 - 2.0 * rng.random(), rng.choice((-1.0, 1.0)) * rng.uniform(0.05, PI))
+        s = random_complex(rng, (0.05, 4.0), (-2.0, 2.0))
+        v = random_complex(rng, (0.2, 3.0), (-1.0, 1.0))
+        value = lerch_phi_integral(LerchParams(z, s, v), policy)
+        shifted = principal_pow(v, -s) + z * lerch_phi_integral(LerchParams(z, s, v + 1.0), policy)
+        assert abs(value - shifted) <= 1e-10 * max(abs(value), abs(shifted))
 
 
 def test_integral_refuses_below_its_rounding_floor(policy):
@@ -596,11 +631,49 @@ def test_integral_gives_up_while_its_rounding_floor_stays_high(policy, monkeypat
     # 14 halvings took 704,513 nodes (about 1 s).  The floor is above the
     # tolerance at the first two levels, so the route raises by h = 1/8
     counter = _NodeCounter()
-    monkeypatch.setattr("lerchsum.functions.math", counter)
+    monkeypatch.setattr("lerchsum.functions.cmath", counter)
     params = LerchParams(0.9506 + 0.2528j, 3.121 + 8.678j, 0.596 - 0.865j)
     with pytest.raises(ConvergenceError, match="rounding floor"):
         lerch_phi_integral(params, policy)
-    assert counter.nodes <= 400
+    assert counter.nodes <= 128
+
+
+def test_integral_at_huge_v_returns_the_series_value(policy):
+    # the right cut at Re v t = 45-odd fell below the left cut (an empty first
+    # mesh and an IndexError); the map's scale 1/Re v keeps both cuts apart.
+    # |Phi| is far below abs_tol, so the series is asked for rel_tol itself
+    params = LerchParams(0.5, 2.0, 1e10)
+    series = lerch_phi(params, PrecisionPolicy(rel_tol=1e-15, abs_tol=1e-300))
+    assert abs(lerch_phi_integral(params, policy) - series) <= 1e-12 * abs(series)
+    assert abs(series - 2e-20) <= 1e-9 * 2e-20
+
+
+def test_integral_divides_by_gamma_s_in_its_exponent(policy):
+    # Gamma(171) and Gamma(171) * closed part overflowed to nan, Gamma(172)
+    # raised OverflowError; Phi(0.5, s, 1) = 1 + 2^-s + ... is 1 in double
+    for s in (171.0, 172.0, 400.0):
+        value = lerch_phi_integral(LerchParams(0.5, s, 1.0), policy)
+        assert abs(value - 1.0) <= 1e-12
+    # 1/|Gamma(1 + 500i)| is out of range: a library error, not a traceback
+    with pytest.raises(ConvergenceError):
+        lerch_phi_integral(LerchParams(0.5, 1.0 + 500j, 1.0), policy)
+
+
+def test_series_bound_survives_large_re_s(policy):
+    # (1 + d*/|v+N|)^|Re s| overflowed from Re s ~ 275 at |z| = 0.5; the bound
+    # is then taken in logs.  Phi(0.5, s, 1) = 1 + 2^-s + ... and
+    # Phi(-0.9 + 0.1i, s, 1.5) = 1.5^-s (1 + O((3/5)^s)) in double
+    for s in (275.0, 300.0, 700.0, 300.0 + 3.0j):
+        assert lerch_phi(LerchParams(0.5, s, 1.0), policy) == pytest.approx(1.0, abs=1e-15)
+        assert polylog(s, 0.5, policy) == pytest.approx(0.5, abs=1e-15)
+        value = lerch_phi(LerchParams(-0.9 + 0.1j, s, 1.5), policy)
+        assert abs(value - principal_pow(1.5, -s)) <= 1e-12 * abs(value)
+
+
+def test_polylog_checks_s_before_its_z_zero_shortcut(policy):
+    with pytest.raises(DomainError):
+        polylog(math.nan, 0.0, policy)
+    assert polylog(2.0, 0.0, policy) == 0j
 
 
 def test_integral_agrees_with_series_at_large_im_s(policy):
