@@ -290,14 +290,14 @@ def _dyadic_poles(fields: Sequence[str]):
 #   sum_{p=0}^n -2^-p tan(2^-p-1 u) sec(2^-p u) = 2^-n csc(2^-n u) - 2 csc(2u)
 # --------------------------------------------------------------------------
 
-def _id00_lhs(pt, policy, meter):
+def _id00_lhs(pt, policy, scale):
     u = complex(pt.m)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
         yield -tp * cmath.tan(0.5 * tp * u) * _sec(tp * u)
 
 
-def _id00_rhs(pt, policy, meter):
+def _id00_rhs(pt, policy, scale):
     u = complex(pt.m)
     tn = 2.0 ** -pt.n
     yield tn * _csc(tn * u)
@@ -311,7 +311,7 @@ _TAN_SEC_POLES = _dyadic_poles(("m",))
 # ID-01: the main finite-sum identity for Phi
 # --------------------------------------------------------------------------
 
-def _id01_lhs(pt, policy, meter):
+def _id01_lhs(pt, policy, scale):
     a, m, k = complex(pt.a), complex(pt.m), complex(pt.k)
     la = principal_log(a)
 
@@ -326,12 +326,12 @@ def _id01_lhs(pt, policy, meter):
         e1 = cmath.exp(_I * m * tp)
         c1 = tp * e1 * principal_pow(_I * tp, k) * e1
         c2 = tp * e1 * principal_pow(_I * tp * 0.5, k)
-        meter.note(max(peak1, peak2) * max(abs(c1), abs(c2)))
+        scale.note(max(peak1, peak2) * max(abs(c1), abs(c2)))
         yield c1 * phi1
         yield -c2 * phi2
 
 
-def _id01_rhs(pt, policy, meter):
+def _id01_rhs(pt, policy, scale):
     a, m, k = complex(pt.a), complex(pt.m), complex(pt.k)
     la = principal_log(a)
     tn = 2.0 ** -pt.n
@@ -342,7 +342,7 @@ def _id01_rhs(pt, policy, meter):
                                  0.5 - 0.25 * _I * la), policy, local)
     c1 = _I * principal_pow(_I * tn, k + 1) * cmath.exp(_I * m * tn)
     c2 = principal_pow(_I, k) * principal_pow(2.0, k + 1) * cmath.exp(2.0 * _I * m)
-    meter.note(local.peak * max(abs(c1), abs(c2)))
+    scale.note(local.peak * max(abs(c1), abs(c2)))
     yield c1 * phi1
     yield c2 * phi2
 
@@ -375,20 +375,20 @@ def _id01_lift(values: dict) -> dict:
 # Its poles are those of ID-00, so it shares _TAN_SEC_POLES.
 # --------------------------------------------------------------------------
 
-def _id02_lhs(pt, policy, meter):
+def _id02_lhs(pt, policy, scale):
     m = complex(pt.m)
     for p in range(pt.n + 1):
         tp = 2.0 ** -(p + 1)
         yield tp * cmath.tan(m * tp) * _sec(m * 2.0 ** -p)
 
 
-def _id02_rhs(pt, policy, meter):
+def _id02_rhs(pt, policy, scale):
     m = complex(pt.m)
     yield _csc(2.0 * m)
     yield -(2.0 ** -(pt.n + 1)) * _csc(m * 2.0 ** -pt.n)
 
 
-def _id02_rhs_prudnikov(pt, policy, meter):
+def _id02_rhs_prudnikov(pt, policy, scale):
     # RHS with the two terms deliberately swapped in sign: the uncorrected
     # tabulated form that the degenerate case supersedes
     m = complex(pt.m)
@@ -400,7 +400,7 @@ def _id02_rhs_prudnikov(pt, policy, meter):
 # ID-03: two-parameter cosine-ratio product
 # --------------------------------------------------------------------------
 
-def _id03_lhs(pt, policy, meter):
+def _id03_lhs(pt, policy, scale):
     m, r = complex(pt.m), complex(pt.r)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
@@ -408,7 +408,7 @@ def _id03_lhs(pt, policy, meter):
                * (cmath.cos(0.5 * tp * r) / cmath.cos(0.5 * tp * m)) ** 2)
 
 
-def _id03_rhs(pt, policy, meter):
+def _id03_rhs(pt, policy, scale):
     m, r = complex(pt.m), complex(pt.r)
     th = 2.0 ** -(pt.n + 1)
     yield (cmath.tan(th * m) * cmath.tan(r)) / (cmath.tan(m) * cmath.tan(th * r))
@@ -418,11 +418,11 @@ def _id03_rhs(pt, policy, meter):
 # ID-04: functional equation for Phi(z, s, a)
 # --------------------------------------------------------------------------
 
-def _id04_lhs(pt, policy, meter):
-    yield lerch_phi(LerchParams(complex(pt.z), complex(pt.s), complex(pt.a)), policy, meter)
+def _id04_lhs(pt, policy, scale):
+    yield lerch_phi(LerchParams(complex(pt.z), complex(pt.s), complex(pt.a)), policy, scale)
 
 
-def _id04_rhs(pt, policy, meter):
+def _id04_rhs(pt, policy, scale):
     z, s, a = complex(pt.z), complex(pt.s), complex(pt.a)
     local = CancellationMeter()
     p8 = principal_pow(8.0, -s)
@@ -434,7 +434,7 @@ def _id04_rhs(pt, policy, meter):
     phi3 = lerch_phi(LerchParams(-z4, s, 0.25 * (a + 3.0)), policy, local)
     phi4 = lerch_phi(LerchParams(z4 * z4, s, 0.125 * (a + 3.0)), policy, local)
     z3 = z ** 3
-    meter.note(local.peak * abs(p8) * max(abs(p4), 2.0 * abs(p2 * z3), 4.0 * abs(z3)))
+    scale.note(local.peak * abs(p8) * max(abs(p4), 2.0 * abs(p2 * z3), 4.0 * abs(z3)))
     yield p8 * p4 * z * phi1
     yield p8 * p4 * phi2
     yield -2.0 * p8 * p2 * z3 * phi3
@@ -452,7 +452,7 @@ def _id04_constraints(pt, margin):
 # ID-05: cosine-ratio product (cubic form)
 # --------------------------------------------------------------------------
 
-def _id05_lhs(pt, policy, meter):
+def _id05_lhs(pt, policy, scale):
     x = complex(pt.x)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
@@ -460,7 +460,7 @@ def _id05_lhs(pt, policy, meter):
                / (cmath.cos(0.25 * tp * x) ** 2 * cmath.cos(tp * x)))
 
 
-def _id05_rhs(pt, policy, meter):
+def _id05_rhs(pt, policy, scale):
     x = complex(pt.x)
     t1 = 2.0 ** -(pt.n + 2)
     t2 = 2.0 ** -(pt.n + 1)
@@ -471,7 +471,7 @@ def _id05_rhs(pt, policy, meter):
 # ID-06: exponential-times-cosine-ratio product
 # --------------------------------------------------------------------------
 
-def _id06_lhs(pt, policy, meter):
+def _id06_lhs(pt, policy, scale):
     x = complex(pt.x)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
@@ -481,16 +481,16 @@ def _id06_lhs(pt, policy, meter):
         # scale, a relative error of the factor
         combo = compensated_sum([cmath.cos(0.5 * tp * x), cmath.cos(1.5 * tp * x),
                                  -3.0 * cmath.cos(tp * x), 1.0 + 0j],
-                                meter, abs(2.0 * tp * csc2))
+                                scale, abs(2.0 * tp * csc2))
         yield (cmath.cos(0.25 * tp * x) ** 2 * cmath.cos(tp * x) * _sec(0.5 * tp * x) ** 3
                * cmath.exp(-2.0 * tp * combo * csc2))
 
 
-def _id06_rhs(pt, policy, meter):
+def _id06_rhs(pt, policy, scale):
     x = complex(pt.x)
     tn = 2.0 ** -pt.n
     expo = compensated_sum([tn * _csc(tn * x), -tn * _csc(0.5 * tn * x),
-                            cmath.tan(0.5 * x), -cmath.tan(x), _cot(0.5 * x), -_cot(x)], meter)
+                            cmath.tan(0.5 * x), -cmath.tan(x), _cot(0.5 * x), -_cot(x)], scale)
     yield (cmath.tan(0.5 * x) * _cot(x) * cmath.tan(0.5 * tn * x) * _cot(0.25 * tn * x)
            * cmath.exp(expo))
 
@@ -499,11 +499,11 @@ def _id06_rhs(pt, policy, meter):
 # ID-07: log-gamma sum with imaginary-axis arguments; equality mod 2 pi i
 # --------------------------------------------------------------------------
 
-def _id07_lhs(pt, policy, meter):
-    return _log_gamma_ladder(-_I * principal_log(complex(pt.a)), pt.n, meter)
+def _id07_lhs(pt, policy, scale):
+    return _log_gamma_ladder(-_I * principal_log(complex(pt.a)), pt.n, scale)
 
 
-def _id07_rhs(pt, policy, meter):
+def _id07_rhs(pt, policy, scale):
     la = principal_log(complex(pt.a))
     n = pt.n
     tn = 2.0 ** -n
@@ -531,7 +531,7 @@ def _real_a_constraints(lo: float, hi: float):
 # ID-08: log-gamma sum, real-argument alternate form
 # --------------------------------------------------------------------------
 
-def _log_gamma_ladder(a: complex, n: int, meter: ErrorScale) -> Iterator[complex]:
+def _log_gamma_ladder(a: complex, n: int, scale: ErrorScale) -> Iterator[complex]:
     """Terms p = 0..n of ID-08's left side at a, each rung evaluated once.
     ID-07's left side is this at a = -i log a', bit for bit: times -i only
     swaps parts, so the rungs' arguments match, and the last term's ratio
@@ -548,14 +548,14 @@ def _log_gamma_ladder(a: complex, n: int, meter: ErrorScale) -> Iterator[complex
             -2.0 * shifted_lo,
             2.0 * shifted_hi,
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
-        ], meter, tp)
+        ], scale, tp)
 
 
-def _id08_lhs(pt, policy, meter):
-    return _log_gamma_ladder(complex(pt.a), pt.n, meter)
+def _id08_lhs(pt, policy, scale):
+    return _log_gamma_ladder(complex(pt.a), pt.n, scale)
 
 
-def _id08_rhs(pt, policy, meter):
+def _id08_rhs(pt, policy, scale):
     a = complex(pt.a)
     n = pt.n
     tn = 2.0 ** -n
@@ -572,7 +572,7 @@ def _id08_rhs(pt, policy, meter):
 # ID-09: digamma sum
 # --------------------------------------------------------------------------
 
-def _id09_lhs(pt, policy, meter):
+def _id09_lhs(pt, policy, scale):
     a = complex(pt.a)
     for p, (scaled_lo, scaled_hi), (shifted_lo, shifted_hi) in zip(
             range(pt.n + 1),
@@ -585,10 +585,10 @@ def _id09_lhs(pt, policy, meter):
             2.0 * scaled_hi,
             shifted_lo,
             -2.0 * shifted_hi,
-        ], meter)
+        ], scale)
 
 
-def _id09_rhs(pt, policy, meter):
+def _id09_rhs(pt, policy, scale):
     a = complex(pt.a)
     sn = 2.0 ** pt.n
     yield -4.0 / (a * sn - 1.0)
@@ -602,7 +602,7 @@ def _id09_rhs(pt, policy, meter):
 # ID-10: closed-form log-gamma transformation (single parameter)
 # --------------------------------------------------------------------------
 
-def _id10_lhs(pt, policy, meter):
+def _id10_lhs(pt, policy, scale):
     a = complex(pt.a)
     yield log_gamma(0.25 * a)
     g = (cmath.exp(log_gamma(0.25 * (a - 2.0)))
@@ -611,7 +611,7 @@ def _id10_lhs(pt, policy, meter):
     yield principal_log(g)
 
 
-def _id10_rhs(pt, policy, meter):
+def _id10_rhs(pt, policy, scale):
     a = complex(pt.a)
     inner = (math.pi ** 0.375 * principal_pow(2.0, 2.0 - 0.5 * a)
              * principal_pow(a + 1.0 / (a - 1.0) - 3.0, 0.25) / (a - 2.0))
@@ -632,13 +632,13 @@ def _nielsen_exponents(x: complex, n: int) -> Iterator[complex]:
         yield (2.0 ** -p) * (-(0.5 * sp * x) * _LN2 + hi - 2.0 * lo)
 
 
-def _id11_lhs(pt, policy, meter):
+def _id11_lhs(pt, policy, scale):
     for e in _nielsen_exponents(complex(pt.x), pt.n):
-        meter.note(abs(e))
+        scale.note(abs(e))
         yield cmath.exp(e)
 
 
-def _id11_rhs(pt, policy, meter):
+def _id11_rhs(pt, policy, scale):
     x = complex(pt.x)
     n = pt.n
     tn = 2.0 ** -n
@@ -678,13 +678,13 @@ def nielsen_limit(x: complex) -> complex:
 _ID12_GATE = TrendGate(n_lo=4, n_hi=12)
 
 
-def _id12_lhs(pt, policy, meter):
+def _id12_lhs(pt, policy, scale):
     for e in _nielsen_exponents(complex(pt.x), _ID12_GATE.n_hi):
-        meter.note(abs(e))
+        scale.note(abs(e))
         yield cmath.exp(e)
 
 
-def _id12_rhs(pt, policy, meter):
+def _id12_rhs(pt, policy, scale):
     yield nielsen_limit(complex(pt.x))
 
 
@@ -699,7 +699,7 @@ def _id12_constraints(pt, margin):
 # ID-13: generalized Stieltjes constant sum
 # --------------------------------------------------------------------------
 
-def _id13_lhs(pt, policy, meter):
+def _id13_lhs(pt, policy, scale):
     a = complex(pt.a)
     for p, (h_lo, h_hi), (hs_lo, hs_hi), (g_lo, g_hi), (gs_lo, gs_hi) in zip(
             range(pt.n + 1),
@@ -714,10 +714,10 @@ def _id13_lhs(pt, policy, meter):
             2.0 * g_hi,
             -2.0 * gs_hi,
             gs_lo,
-        ], meter)
+        ], scale)
 
 
-def _id13_rhs(pt, policy, meter):
+def _id13_rhs(pt, policy, scale):
     a = complex(pt.a)
     tn = 2.0 ** -pt.n
     sn = 2.0 ** pt.n
@@ -734,7 +734,7 @@ def _id13_rhs(pt, policy, meter):
 # ID-14: polylogarithm sum (the main identity at unit shift parameter)
 # --------------------------------------------------------------------------
 
-def _id14_lhs(pt, policy, meter):
+def _id14_lhs(pt, policy, scale):
     m, k = complex(pt.m), complex(pt.k)
 
     def rung(s):
@@ -746,12 +746,12 @@ def _id14_lhs(pt, policy, meter):
         tp = 2.0 ** -p
         c1 = tp * principal_pow(0.5 * tp, k)
         c2 = tp * principal_pow(tp, k)
-        meter.note(max(peak1, peak2) * max(abs(c1), abs(c2)))
+        scale.note(max(peak1, peak2) * max(abs(c1), abs(c2)))
         yield c1 * li1
         yield -c2 * li2
 
 
-def _id14_rhs(pt, policy, meter):
+def _id14_rhs(pt, policy, scale):
     m, k = complex(pt.m), complex(pt.k)
     tn = 2.0 ** -pt.n
     local = CancellationMeter()
@@ -759,7 +759,7 @@ def _id14_rhs(pt, policy, meter):
     phi2 = lerch_phi(LerchParams(cmath.exp(_I * 2.0 * tn * m), -k, 0.5), policy, local)
     c1 = principal_pow(2.0, k + 1) * cmath.exp(2.0 * _I * m)
     c2 = principal_pow(tn, k + 1) * cmath.exp(_I * m * tn)
-    meter.note(local.peak * max(abs(c1), abs(c2)))
+    scale.note(local.peak * max(abs(c1), abs(c2)))
     yield c1 * phi1
     yield -c2 * phi2
 
@@ -775,24 +775,24 @@ def _id14_constraints(pt, margin):
 # both sides are the exponent sums of the printed products.
 # --------------------------------------------------------------------------
 
-def _id15_lhs(pt, policy, meter):
+def _id15_lhs(pt, policy, scale):
     x = complex(pt.x)
     for p in range(pt.n + 1):
         tp = 2.0 ** -p
-        scale = 4.0 ** (1 - p)
-        yield scale * compensated_sum([_sec(0.25 * tp * x) ** 2,
-                                       -3.0 * _sec(0.5 * tp * x) ** 2,
-                                       2.0 * _sec(tp * x) ** 2], meter, scale)
+        weight = 4.0 ** (1 - p)
+        yield weight * compensated_sum([_sec(0.25 * tp * x) ** 2,
+                                        -3.0 * _sec(0.5 * tp * x) ** 2,
+                                        2.0 * _sec(tp * x) ** 2], scale, weight)
 
 
-def _id15_rhs(pt, policy, meter):
+def _id15_rhs(pt, policy, scale):
     x = complex(pt.x)
     n = pt.n
     tn = 2.0 ** -n
-    scale = 2.0 ** (1 - 2 * n)
-    yield scale * compensated_sum([-_csc(0.25 * tn * x) ** 2, _csc(0.5 * tn * x) ** 2,
-                                   _sec(0.25 * tn * x) ** 2, -_sec(0.5 * tn * x) ** 2],
-                                  meter, scale)
+    weight = 2.0 ** (1 - 2 * n)
+    yield weight * compensated_sum([-_csc(0.25 * tn * x) ** 2, _csc(0.5 * tn * x) ** 2,
+                                    _sec(0.25 * tn * x) ** 2, -_sec(0.5 * tn * x) ** 2],
+                                   scale, weight)
     yield 32.0 * _cot(x) * _csc(x)
     yield -32.0 * _cot(2.0 * x) * _csc(2.0 * x)
 

@@ -260,7 +260,7 @@ def digamma_by_steps(z):
     return principal_log(z) - 0.5 * inv - series - shift
 
 
-def id07_lhs_per_term(pt, policy, meter):
+def id07_lhs_per_term(pt, policy, scale):
     from lerchsum import log_gamma, principal_log
     from lerchsum.identities import _I
     from lerchsum.numerics import compensated_sum
@@ -275,10 +275,10 @@ def id07_lhs_per_term(pt, policy, meter):
             -2.0 * log_gamma(0.25 * (-_I * sp * la - 2.0)),
             2.0 * log_gamma(0.5 * (-_I * sp * la - 1.0)),
             principal_log(2.0 * (sp * la - _I) ** 2 / (sp * la - 2.0 * _I) ** 2),
-        ], meter, tp)
+        ], scale, tp)
 
 
-def id08_lhs_per_term(pt, policy, meter):
+def id08_lhs_per_term(pt, policy, scale):
     from lerchsum import log_gamma, principal_log
     from lerchsum.numerics import compensated_sum
 
@@ -292,10 +292,10 @@ def id08_lhs_per_term(pt, policy, meter):
             -2.0 * log_gamma(0.25 * (sp * a - 2.0)),
             2.0 * log_gamma(0.5 * (sp * a - 1.0)),
             principal_log(2.0 * (a * sp - 1.0) ** 2 / (a * sp - 2.0) ** 2),
-        ], meter, tp)
+        ], scale, tp)
 
 
-def id09_lhs_per_term(pt, policy, meter):
+def id09_lhs_per_term(pt, policy, scale):
     from lerchsum import digamma
     from lerchsum.numerics import compensated_sum
 
@@ -308,7 +308,7 @@ def id09_lhs_per_term(pt, policy, meter):
             2.0 * digamma(0.5 * sp * a),
             digamma(0.25 * (sp * a - 2.0)),
             -2.0 * digamma(0.5 * (sp * a - 1.0)),
-        ], meter)
+        ], scale)
 
 
 def nielsen_factor_exponent_per_term(x, p):
@@ -320,11 +320,11 @@ def nielsen_factor_exponent_per_term(x, p):
                           - 2.0 * log_gamma(0.25 * (sp * x + 2.0)))
 
 
-def id11_lhs_per_term(pt, policy, meter):
+def id11_lhs_per_term(pt, policy, scale):
     x = complex(pt.x)
     for p in range(1, pt.n + 1):
         e = nielsen_factor_exponent_per_term(x, p)
-        meter.note(abs(e))
+        scale.note(abs(e))
         yield cmath.exp(e)
 
 
@@ -335,7 +335,7 @@ def nielsen_prefixes_per_term(x, n):
         yield value
 
 
-def id13_lhs_per_term(pt, policy, meter):
+def id13_lhs_per_term(pt, policy, scale):
     from lerchsum import harmonic, principal_log, stieltjes_gamma1
     from lerchsum.identities import _I
     from lerchsum.numerics import compensated_sum
@@ -352,10 +352,10 @@ def id13_lhs_per_term(pt, policy, meter):
             2.0 * stieltjes_gamma1(0.5 * sp * a + 1.0, policy),
             -2.0 * stieltjes_gamma1(0.5 * (sp * a + 1.0), policy),
             stieltjes_gamma1(0.25 * (sp * a + 2.0), policy),
-        ], meter)
+        ], scale)
 
 
-def id01_lhs_per_term(pt, policy, meter):
+def id01_lhs_per_term(pt, policy, scale):
     from lerchsum import LerchParams, lerch_phi, principal_log, principal_pow
     from lerchsum.identities import _I
     from lerchsum.numerics import CancellationMeter
@@ -372,12 +372,12 @@ def id01_lhs_per_term(pt, policy, meter):
                                      1.0 - _I * 2.0 ** (p - 1) * la), policy, local)
         phi2 = lerch_phi(LerchParams(-cmath.exp(_I * tp * m), -k,
                                      1.0 - _I * 2.0 ** p * la), policy, local)
-        meter.note(local.peak * max(abs(c1), abs(c2)))
+        scale.note(local.peak * max(abs(c1), abs(c2)))
         yield c1 * phi1
         yield -c2 * phi2
 
 
-def id14_lhs_per_term(pt, policy, meter):
+def id14_lhs_per_term(pt, policy, scale):
     from lerchsum import polylog, principal_pow
     from lerchsum.identities import _I
     from lerchsum.numerics import CancellationMeter
@@ -390,7 +390,7 @@ def id14_lhs_per_term(pt, policy, meter):
         local = CancellationMeter()
         li1 = polylog(-k, -cmath.exp(_I * tp * m), policy, local)
         li2 = polylog(-k, -cmath.exp(_I * 2.0 * tp * m), policy, local)
-        meter.note(local.peak * max(abs(c1), abs(c2)))
+        scale.note(local.peak * max(abs(c1), abs(c2)))
         yield c1 * li1
         yield -c2 * li2
 

@@ -196,10 +196,10 @@ def test_phi_free_budgets_stay_below_one(policy, seed):
 
 
 def test_mod_2pi_i_mode_accepts_2pi_shifts(policy):
-    def lhs_terms(pt, policy_, meter):
+    def lhs_terms(pt, policy_, scale):
         yield complex(0.4, 0.3)
 
-    def rhs_terms(pt, policy_, meter):
+    def rhs_terms(pt, policy_, scale):
         yield complex(0.4, 0.3 + TWO_PI)
 
     synthetic = IdentitySpec(
