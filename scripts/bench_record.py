@@ -267,13 +267,10 @@ def _run_each(thunks: list) -> None:
 
 def _task_sides(seed: int) -> dict:
     """Every identity's two sides over its sampled points, SIDE_PASSES timed
-    passes, each side given the accumulator its checkout's `evaluate_side`
-    takes: an ErrorScale, or before it a CancellationMeter."""
+    passes, each side given a fresh ErrorScale."""
     import lerchsum
-    from lerchsum import numerics
     from lerchsum.identities import evaluate_side
-
-    scale_cls = getattr(numerics, "ErrorScale", None) or numerics.CancellationMeter
+    from lerchsum.numerics import ErrorScale
 
     policy = lerchsum.PrecisionPolicy()
     keys, units = [], []
@@ -282,7 +279,7 @@ def _task_sides(seed: int) -> dict:
             spec, lerchsum.default_strategy(spec.id, count=COUNT, seed=seed))
         for side in ("lhs", "rhs"):
             thunks = [lambda pt=pt, side=side, expr=getattr(spec, side): evaluate_side(
-                side, expr, pt, policy, scale_cls()) for pt in points]
+                side, expr, pt, policy, ErrorScale()) for pt in points]
             keys.append(f"{spec.id}.{side}")
             units.append(partial(_run_each, thunks))
     _, times, scale = _timed(units, SIDE_PASSES, 1)

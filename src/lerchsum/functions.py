@@ -247,10 +247,11 @@ def _sum_series(acc: CompensatedSum, z: complex, s: complex, v: complex,
     d_star = 1.0 if on_circle else max(1.0, abs(rs) / max(1e-300, -ln_az))
     # with at most _TAIL_ROWS series terms to go, the tail cannot pay off
     hand_over = az ** _TAIL_ROWS > policy.rel_tol
+    ln_tol = math.log(policy.rel_tol)
     if hand_over:
         k = -rs
         if (is_ == 0.0 and 0.0 <= k < _TAIL_ROWS and k == round(k)
-                and k * _TAIL_TERM_PRICE < math.log(policy.rel_tol) / ln_az
+                and k * _TAIL_TERM_PRICE < ln_tol / ln_az
                 and _add_tail(acc, 1.0 + 0j, z, s, v, int(k), policy)):
             return  # the expansion stops at k = -s, exact at any w: no head
         # the tail's first ratio |s|/(|w||1-z|) is within _TAIL_RATIO from
@@ -258,6 +259,8 @@ def _sum_series(acc: CompensatedSum, z: complex, s: complex, v: complex,
         reach = abs(s) / (_TAIL_RATIO * abs(1.0 - z))
 
     exp, log, minus_s = cmath.exp, cmath.log, -s
+    # the tail factor's fixed part: 1/(Re s - 1) on the circle, 1/(1 - |z|) inside
+    ln_factor = -math.log(rs - 1.0) if on_circle else -math.log1p(-az)
     zpow = 1.0 + 0j
     n = 0
     while n < policy.max_terms:
@@ -269,25 +272,21 @@ def _sum_series(acc: CompensatedSum, z: complex, s: complex, v: complex,
         n += m
         zpow = zpows[-1] * z
         if n > 4:
-            aw = abs(v + (n - 1))
-            c_s = math.exp(cs_arg + abs(rs) * max(0.0, -math.log(aw)))
+            w = v + (n - 1)
+            aw = abs(w)
+            ln_aw = math.log(aw)
             scale = max(abs(acc.value), policy.abs_tol)
+            # ln q: ln |w^(-s)| + ln C_s + ln(tail factor) - ln(rel_tol * scale)
+            ln_q = (is_ * math.atan2(w.imag, w.real) - rs * ln_aw
+                    + cs_arg + abs(rs) * max(0.0, -ln_aw) + ln_factor - ln_tol - math.log(scale))
             if on_circle:
-                # integral-test tail for |z| = 1, Re(s) > 1
-                tail = abs(powfacs[-1]) * aw / (rs - 1.0)
+                ln_q += ln_aw  # integral-test tail |w^(-s)| |w| / (Re s - 1)
             else:
-                try:
-                    growth = (1.0 + d_star / aw) ** abs(rs)
-                    tail = az ** n / (1.0 - az) * abs(powfacs[-1]) * growth
-                except OverflowError:  # the same bound in logs, capped where no test passes
-                    tail = math.exp(min(700.0, n * ln_az - math.log1p(-az)
-                                        + (minus_s * log(v + (n - 1))).real
-                                        + abs(rs) * math.log1p(d_star / aw)))
-            if tail * c_s <= policy.rel_tol * scale:
+                ln_q += n * ln_az + abs(rs) * math.log1p(d_star / aw)
+            if ln_q <= 0.0:
                 return
             if hand_over and v.real + n >= reach:
                 # the series' predicted remainder, in terms
-                ln_q = math.log(tail * c_s / (policy.rel_tol * scale))
                 if on_circle:
                     rest = aw * math.expm1(min(700.0, ln_q / (rs - 1.0)))
                 else:
@@ -313,8 +312,11 @@ def lerch_phi(
     |z|^(N+1)/(1-|z|) * |(v+N)^(-s)| * C_s * G falls below
     rel_tol * |partial sum|, where C_s = exp(|Im s| pi/2 + |Re s| max(0, -ln|v+N|))
     guards the arg/modulus swing of the power factor and G bounds the modulus
-    growth of later terms when Re(s) < 0.  It needs ~ln(1/rel_tol)/(1-|z|)
-    terms, too many near |z| = 1.
+    growth of later terms when Re(s) < 0.  The test is taken in logs, as
+    ln q <= 0 for q the bound over rel_tol * |partial sum|, with
+    ln|(v+N)^(-s)| = -Re s ln|v+N| + Im s arg(v+N), so that neither C_s nor
+    G need be in the double range (C_s leaves it from |Im s| ~ 451).  It
+    needs ~ln(1/rel_tol)/(1-|z|) terms, too many near |z| = 1.
 
     If it does not stop, the rest z^N Phi(z, s, w) at w = v+N may be added
     from its large-shift expansion sum_k C(-s,k) w^(-s-k) Li_{-k}(z), with
@@ -326,11 +328,12 @@ def lerch_phi(
     that ratio is at most 1/2 for k = 0 (with Re w in place of |w|), and
     where the K tail terms that meet the tail's stop test against the
     running sum, predicted from these magnitudes, cost less than the series'
-    predicted remainder: ln q / -ln|z| terms for |z| < 1, where q is the
-    tail bound over rel_tol * |partial sum|, and on |z| = 1 (Re s > 1) the
-    terms that shrink the integral-test bound |v+N|^(1-Re s)/(Re s - 1) by
-    q.  A tail term costs _TAIL_TERM_PRICE series terms.  No check runs
-    where |z|^64 <= rel_tol, where the series needs at most 64 terms.
+    predicted remainder: ln q / -ln|z| terms for |z| < 1, with the stop
+    test's ln q, and on |z| = 1 (Re s > 1), where that test's bound is the
+    integral-test bound |v+N|^(1-Re s)/(Re s - 1) times C_s, the terms that
+    shrink it by q.  A tail term costs _TAIL_TERM_PRICE series terms.  No
+    check runs where |z|^64 <= rel_tol, where the series needs at most 64
+    terms.
 
     The tail stops once the bound on its next term falls below
     rel_tol/100 * |partial sum| (its remainder is about that bound, so the
@@ -344,8 +347,9 @@ def lerch_phi(
     Series and tail share one accumulator: a CancellationMeter, whose peak
     is noted into `meter`, when a meter is given, and otherwise a
     CompensatedSum, which gives the same value bit for bit without tracking
-    the peak.  Raises ConvergenceError if policy.max_terms series terms are
-    summed first.
+    the peak.  `meter` is anything whose note(m) takes that peak: a
+    CancellationMeter, or a registry side's ErrorScale.  Raises
+    ConvergenceError if policy.max_terms series terms are summed first.
     """
     z, s, v = params.validate_series()
     if z == 0:
@@ -633,20 +637,20 @@ def polylog(
     return z * lerch_phi(LerchParams(z=z, s=s, v=1.0), policy, meter)
 
 
-def _log_gamma_real(x: float) -> float:
-    """log_gamma's shift and Stirling series for real x > 0, in floats."""
-    shift = 0.0
-    while x < _ASYMPTOTIC_REAL:
-        shift += math.log(x)
-        x += 1.0
-    inv = 1.0 / x
+def _log_gamma_steps(z, log):
+    """log_gamma's shift and Stirling series in z's own arithmetic, float or
+    complex, with every logarithm taken by log."""
+    shift = series = z - z  # 0.0 or 0j
+    while z.real < _ASYMPTOTIC_REAL:
+        shift += log(z)
+        z += 1
+    inv = 1.0 / z
     inv2 = inv * inv
-    series = 0.0
     term = inv
     for coeff in _LOGGAMMA_BERNOULLI:
         series += coeff * term
         term *= inv2
-    return (x - 0.5) * math.log(x) - x + _HALF_LN_2PI + series - shift
+    return (z - 0.5) * log(z) - z + _HALF_LN_2PI + series - shift
 
 
 def log_gamma(z: complex) -> complex:
@@ -659,81 +663,58 @@ def log_gamma(z: complex) -> complex:
     non-finite z, and OverflowError where the value leaves the double range
     (on the positive real axis from x = 2.5563e305 on), as math.lgamma does.
 
-    On the positive real axis (Im z = +-0.0, Re z > 0) _log_gamma_real runs
-    the same steps in floats and the imaginary part is +0.0: there every
+    _log_gamma_steps runs in floats with math.log on the positive real axis
+    (Im z = +-0.0, Re z > 0), and the imaginary part is +0.0: there every
     complex step's real part is the float step, since principal_log(x) is
     complex(math.log(x), 0.0) and the imaginary parts that enter it are
-    zeros.  Off the real axis (Im z != 0, which z + 1 keeps) each shift step
-    adds cmath.log(z), which is principal_log(z) without its checks: z was
+    zeros.  Off the real axis (Im z != 0, which z + 1 keeps) it runs in
+    complex with cmath.log, which is principal_log without its checks: z was
     checked finite on entry and a step keeps it finite and away from 0.  On
-    the rest of the real axis the loop calls principal_log, which puts
-    arg = +pi on the negative axis where cmath.log gives -pi for Im z = -0.0.
+    the rest of the real axis it takes principal_log, which puts arg = +pi on
+    the negative axis where cmath.log gives -pi for Im z = -0.0.
     """
     z = _require_finite(z, "log_gamma argument")
     if _near_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at nonpositive integer {z!r}")
     if z.imag == 0.0 and z.real > 0.0:
-        value = complex(_log_gamma_real(z.real), 0.0)
+        value = complex(_log_gamma_steps(z.real, math.log), 0.0)
     else:
         _check_liftable(z, _ASYMPTOTIC_REAL, "log_gamma")
-        log = cmath.log if z.imag != 0.0 else principal_log
-        shift = 0j
-        while z.real < _ASYMPTOTIC_REAL:
-            shift += log(z)
-            z += 1
-        inv = 1.0 / z
-        inv2 = inv * inv
-        series = 0j
-        term = inv
-        for coeff in _LOGGAMMA_BERNOULLI:
-            series += coeff * term
-            term *= inv2
-        value = (z - 0.5) * principal_log(z) - z + _HALF_LN_2PI + series - shift
+        value = _log_gamma_steps(z, cmath.log if z.imag != 0.0 else principal_log)
     if not cmath.isfinite(value):
         raise OverflowError("log_gamma leaves the double range")
     return value
 
 
-def _digamma_real(x: float) -> float:
-    """digamma's shift and asymptotic series for real x > 0, in floats."""
-    shift = 0.0
-    while x < _ASYMPTOTIC_REAL:
-        shift += 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = 0.0
-    term = inv2
-    for coeff in _DIGAMMA_BERNOULLI:
-        series += coeff * term
-        term *= inv2
-    return math.log(x) - 0.5 * inv - series - shift
-
-
-def digamma(z: complex) -> complex:
-    """psi(z) via the recurrence psi(z) = psi(z+1) - 1/z and the asymptotic
-    series through the B14 term, after shifting until Re(z) >= 10.  On the
-    positive real axis (Im z = +-0.0, Re z > 0) _digamma_real runs the same
-    steps in floats, bit for bit the complex steps' real part, and the
-    imaginary part is +0.0."""
-    z = _require_finite(z, "digamma argument")
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"digamma pole at nonpositive integer {z!r}")
-    if z.imag == 0.0 and z.real > 0.0:
-        return complex(_digamma_real(z.real), 0.0)
-    _check_liftable(z, _ASYMPTOTIC_REAL, "digamma")
-    shift = 0j
+def _digamma_steps(z, log):
+    """digamma's shift and asymptotic series in z's own arithmetic, float or
+    complex, with the logarithm taken by log."""
+    shift = series = z - z  # 0.0 or 0j
     while z.real < _ASYMPTOTIC_REAL:
         shift += 1.0 / z
         z += 1
     inv = 1.0 / z
     inv2 = inv * inv
-    series = 0j
     term = inv2
     for coeff in _DIGAMMA_BERNOULLI:
         series += coeff * term
         term *= inv2
-    return principal_log(z) - 0.5 * inv - series - shift
+    return log(z) - 0.5 * inv - series - shift
+
+
+def digamma(z: complex) -> complex:
+    """psi(z) via the recurrence psi(z) = psi(z+1) - 1/z and the asymptotic
+    series through the B14 term, after shifting until Re(z) >= 10.
+    _digamma_steps runs in floats with math.log on the positive real axis
+    (Im z = +-0.0, Re z > 0), bit for bit the complex steps' real part, and
+    the imaginary part is +0.0; elsewhere in complex with principal_log."""
+    z = _require_finite(z, "digamma argument")
+    if _near_nonpositive_integer(z):
+        raise PoleError(f"digamma pole at nonpositive integer {z!r}")
+    if z.imag == 0.0 and z.real > 0.0:
+        return complex(_digamma_steps(z.real, math.log), 0.0)
+    _check_liftable(z, _ASYMPTOTIC_REAL, "digamma")
+    return _digamma_steps(z, principal_log)
 
 
 def harmonic(z: complex) -> complex:

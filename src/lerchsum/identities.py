@@ -623,19 +623,19 @@ def _id10_rhs(pt, policy, scale):
 # overflow of Gamma at large 2^p x)
 # --------------------------------------------------------------------------
 
-def _nielsen_exponents(x: complex, n: int) -> Iterator[complex]:
-    """log of the ratio factors p = 1..n:
-    2^-p [-2^(p-1) x ln 2 + log Gamma((2^p x + 1)/2) - 2 log Gamma((2^p x + 2)/4)]."""
+def _nielsen_factors(x: complex, n: int, scale: ErrorScale) -> Iterator[complex]:
+    """The ratio factors p = 1..n as exp(e_p), noting each |e_p| into scale:
+    e_p = 2^-p [-2^(p-1) x ln 2 + log Gamma((2^p x + 1)/2) - 2 log Gamma((2^p x + 2)/4)]."""
     for p, (lo, hi) in zip(range(1, n + 1),
                            _rungs(lambda s: log_gamma(0.25 * (s * x + 2.0)), first=1)):
         sp = 2.0 ** p
-        yield (2.0 ** -p) * (-(0.5 * sp * x) * _LN2 + hi - 2.0 * lo)
+        e = (2.0 ** -p) * (-(0.5 * sp * x) * _LN2 + hi - 2.0 * lo)
+        scale.note(abs(e))
+        yield cmath.exp(e)
 
 
 def _id11_lhs(pt, policy, scale):
-    for e in _nielsen_exponents(complex(pt.x), pt.n):
-        scale.note(abs(e))
-        yield cmath.exp(e)
+    return _nielsen_factors(complex(pt.x), pt.n, scale)
 
 
 def _id11_rhs(pt, policy, scale):
@@ -658,8 +658,8 @@ def _id11_constraints(pt, margin):
 def nielsen_partial_product(x: complex, n: int) -> complex:
     """Product of the first n ratio factors (p = 1..n), in log space."""
     value = 1 + 0j
-    for e in _nielsen_exponents(complex(x), n):
-        value *= cmath.exp(e)
+    for factor in _nielsen_factors(complex(x), n, ErrorScale()):
+        value *= factor
     return value
 
 
@@ -679,9 +679,7 @@ _ID12_GATE = TrendGate(n_lo=4, n_hi=12)
 
 
 def _id12_lhs(pt, policy, scale):
-    for e in _nielsen_exponents(complex(pt.x), _ID12_GATE.n_hi):
-        scale.note(abs(e))
-        yield cmath.exp(e)
+    return _nielsen_factors(complex(pt.x), _ID12_GATE.n_hi, scale)
 
 
 def _id12_rhs(pt, policy, scale):

@@ -31,6 +31,15 @@ def test_eval_phi_dilog(capsys):
     assert abs(value - 1.1644810529300249) <= 3e-10
 
 
+def test_eval_phi_at_large_im_s(capsys):
+    # the series' stop test overflowed from |Im s| ~ 451 (exit 3)
+    code, out, _ = run_cli(["eval", "phi", "--z", "0.5", "0", "--s", "2", "460",
+                            "--v", "1", "0"], capsys)
+    assert code == 0
+    value = parse_pair(out)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+
+
 def test_eval_output_has_17_significant_digits(capsys):
     code, out, _ = run_cli(["eval", "digamma", "--z", "1", "0"], capsys)
     assert code == 0

@@ -670,6 +670,16 @@ def test_series_bound_survives_large_re_s(policy):
         assert abs(value - principal_pow(1.5, -s)) <= 1e-12 * abs(value)
 
 
+def test_series_bound_survives_large_im_s(policy):
+    # C_s = exp(|Im s| pi/2 + ...) overflowed from |Im s| ~ 451; the stop test
+    # is taken in logs
+    for params in (LerchParams(0.5, 2.0 + 460j, 1.0),
+                   LerchParams(-0.6 + 0.2j, -1.5 - 480j, 0.7 + 0.3j)):
+        ref = phi_series_bruteforce(params, 400).value
+        assert abs(lerch_phi(params, policy) - ref) <= 1e-13 * abs(ref)
+    assert cmath.isfinite(polylog(2.0 + 500j, 0.5, policy))
+
+
 def test_polylog_checks_s_before_its_z_zero_shortcut(policy):
     with pytest.raises(DomainError):
         polylog(math.nan, 0.0, policy)
