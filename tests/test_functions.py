@@ -661,7 +661,7 @@ def test_integral_divides_by_gamma_s_in_its_exponent(policy):
 
 def test_series_bound_survives_large_re_s(policy):
     # (1 + d*/|v+N|)^|Re s| overflowed from Re s ~ 275 at |z| = 0.5; the bound
-    # is then taken in logs.  Phi(0.5, s, 1) = 1 + 2^-s + ... and
+    # is taken in logs.  Phi(0.5, s, 1) = 1 + 2^-s + ... and
     # Phi(-0.9 + 0.1i, s, 1.5) = 1.5^-s (1 + O((3/5)^s)) in double
     for s in (275.0, 300.0, 700.0, 300.0 + 3.0j):
         assert lerch_phi(LerchParams(0.5, s, 1.0), policy) == pytest.approx(1.0, abs=1e-15)
